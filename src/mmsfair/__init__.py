@@ -44,7 +44,6 @@ from .oracle import (
     instance_mms_values,
     mms,
     mms_naive,
-    mms_score,
 )
 from .pipeline import AlphaChoice, SolveReport, alpha_for, approx_mms
 from .transforms import (
@@ -112,7 +111,6 @@ __all__ = [
     "make_instance",
     "mms",
     "mms_naive",
-    "mms_score",
     "normalize",
     "parse_value",
     "reduce",

@@ -118,6 +118,30 @@ class Instance:
     def total_value(self, agent) -> Fraction:
         return sum(self.valuations[agent].values(), ZERO)
 
+    def without(self, agents: Iterable = (), goods: Iterable = (),
+                dummy: Optional[tuple] = None) -> "Instance":
+        """A smaller instance: drop ``agents`` and real ``goods``.
+
+        ``dummy`` is (dummy id, {survivor: value}); it is appended after
+        the existing dummies.  Certificates pin a partition of all goods
+        into n cells, so they are dropped whenever the instance changes.
+        """
+        agents, goods = set(agents), set(goods)
+        survivors = tuple(a for a in self.agents if a not in agents)
+        valuations = {}
+        for a in survivors:
+            row = {g: v for g, v in self.valuations[a].items() if g not in goods}
+            if dummy is not None:
+                row[dummy[0]] = dummy[1][a]
+            valuations[a] = row
+        changed = agents or goods or dummy is not None
+        return Instance(
+            agents=survivors,
+            goods=tuple(g for g in self.goods if g not in goods),
+            dummies=self.dummies if dummy is None else self.dummies + (dummy[0],),
+            valuations=valuations,
+            certificates=None if changed else self.certificates)
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -276,6 +300,24 @@ def instance_to_json(instance: Instance) -> dict:
     return doc
 
 
+def _id_list(raw, field: str) -> list:
+    """A JSON list of string ids; anything else raises ValidationError naming ``field``."""
+    if not isinstance(raw, list) or not all(isinstance(g, str) for g in raw):
+        raise ValidationError(f"{field} must be a list of string ids, got {raw!r}")
+    return raw
+
+
+def _by_agent(raw, agents: Iterable, field: str) -> dict:
+    """A JSON object keyed by agent id, as {agent: entry}; other keys are rejected."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{field} must be an object keyed by agent id")
+    keys = {str(a): a for a in agents}
+    extra = set(raw) - set(keys)
+    if extra:
+        raise ValidationError(f"{field}: unknown agents {sorted(extra)}")
+    return {keys[k]: v for k, v in raw.items()}
+
+
 def instance_from_json(doc: Mapping) -> Instance:
     try:
         n = doc["agents"]
@@ -283,23 +325,26 @@ def instance_from_json(doc: Mapping) -> Instance:
         valuations = doc["valuations"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"instance JSON: missing field {exc}") from None
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValidationError(f"instance JSON: 'agents' must be a non-negative count, got {n!r}")
-    dummies = doc.get("dummies", [])
-    expected_keys = {str(a) for a in range(n)}
-    extra = set(valuations) - expected_keys
-    if extra:
-        raise ValidationError(f"instance JSON: valuations for unknown agents {sorted(extra)}")
-    rows = {}
+    goods = _id_list(goods, "instance JSON: 'goods'")
+    dummies = _id_list(doc.get("dummies", []), "instance JSON: 'dummies'")
+    rows = _by_agent(valuations, range(n), "instance JSON: 'valuations'")
     for a in range(n):
-        key = str(a)
-        if key not in valuations:
-            raise ValidationError(f"instance JSON: missing valuations for agent {key}")
-        rows[a] = valuations[key]
+        if a not in rows:
+            raise ValidationError(f"instance JSON: missing valuations for agent {a}")
+        if not isinstance(rows[a], dict):
+            raise ValidationError(
+                f"instance JSON: valuations['{a}'] must be an object of good id -> value")
     certs = None
     if "certificates" in doc:
-        certs = {int(a): [frozenset(cell) for cell in cells]
-                 for a, cells in doc["certificates"].items()}
+        certs = {}
+        for a, cells in _by_agent(doc["certificates"], range(n),
+                                  "instance JSON: 'certificates'").items():
+            field = f"instance JSON: certificates['{a}']"
+            if not isinstance(cells, list):
+                raise ValidationError(f"{field} must be a list of cells")
+            certs[a] = [frozenset(_id_list(cell, field)) for cell in cells]
     return make_instance(n, goods, rows, dummies=dummies, certificates=certs)
 
 
@@ -311,12 +356,12 @@ def allocation_to_json(instance: Instance, allocation: Allocation) -> dict:
 
 
 def allocation_from_json(instance: Instance, doc: Mapping, complete: bool = True) -> Allocation:
+    entries = _by_agent(doc, instance.agents, "allocation JSON")
     bundles = {}
     for a in instance.agents:
-        key = str(a)
-        if key not in doc:
-            raise ValidationError(f"allocation JSON: missing bundle for agent {key}")
-        bundles[a] = frozenset(doc[key])
+        if a not in entries:
+            raise ValidationError(f"allocation JSON: missing bundle for agent {a}")
+        bundles[a] = frozenset(_id_list(entries[a], f"allocation JSON: bundle for agent {a}"))
     alloc = Allocation(bundles=bundles, complete=complete)
     validate_allocation(instance, alloc)
     return alloc

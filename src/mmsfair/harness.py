@@ -1,4 +1,8 @@
-"""Instance generators and independent allocation verification.
+"""Instance generators and allocation scoring.
+
+``verify`` is the one place a bundle value is divided by a maximin share:
+the CLI's verify and bench commands and the solver's own final check all
+score through it.
 
 The tight-family generator builds, for any n >= 2, the identical-valuation
 instance with 3n-1 goods on which no rule-or-bag-filling solver can score
@@ -121,18 +125,23 @@ class VerifyReport:
     per_agent: dict  # agent -> (bundle value, mms, ratio or None)
 
     def to_json(self) -> dict:
-        def fmt(v):
-            return None if v is None else format_value(v)
-
         return {
             "alpha": format_value(self.alpha),
             "score": format_value(self.score),
             "passed": self.passed,
-            "per_agent": {
-                str(a): {"bundle_value": fmt(bv), "mms": fmt(mv), "ratio": fmt(r)}
-                for a, (bv, mv, r) in sorted(self.per_agent.items())
-            },
+            "per_agent": per_agent_json(self.per_agent),
         }
+
+
+def per_agent_json(per_agent: Mapping) -> dict:
+    """JSON form of a per-agent (bundle value, mms, ratio or None) table."""
+    def fmt(v):
+        return None if v is None else format_value(v)
+
+    return {
+        str(a): {"bundle_value": fmt(bv), "mms": fmt(mv), "ratio": fmt(r)}
+        for a, (bv, mv, r) in sorted(per_agent.items())
+    }
 
 
 def verify(
@@ -146,9 +155,10 @@ def verify(
 ) -> VerifyReport:
     """Score a complete allocation: per-agent shares, ratios, and pass/fail.
 
-    Maximin shares come from the exhaustive oracle (or the instance's
-    certificate when it has one).  Agents with zero maximin share are
-    treated as satisfied; if nobody has a positive share the score is 1.
+    Maximin shares are ``mms_values`` when given, else they come from the
+    exhaustive oracle (or the instance's certificate when it has one).
+    Agents with zero maximin share are treated as satisfied; if nobody has
+    a positive share the score is 1.
     """
     if not allocation.complete:
         raise ContractError("verify requires a complete allocation")

@@ -20,6 +20,8 @@ A third route skips search entirely: a *certificate* is a partition into
 equal-valued cells.  If all k cells have the same value c, the maximin
 share is exactly c (it is at least the min cell, and at most total/k = c),
 so large certified instances stay exact without search.
+
+Scoring an allocation against these shares is ``harness.verify``'s job.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import Allocation, Instance, Value, ZERO, bundle_value, validate_allocation
+from .core import Instance, Value, ZERO
+from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, ValidationError
 
 DEFAULT_MAX_GOODS = 20
@@ -156,13 +159,17 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
 
     lo = _lpt_floor(desc, parts)
     hi = suffix[0] // parts
+    packing = None  # the packing at lo, once a probe has succeeded
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _pack(desc, suffix, parts, mid) is None:
+        probe = _pack(desc, suffix, parts, mid)
+        if probe is None:
             hi = mid - 1
         else:
-            lo = mid
-    owners, dumped = _pack(desc, suffix, parts, lo)
+            lo, packing = mid, probe
+    if packing is None:  # the LPT floor was already optimal
+        packing = _pack(desc, suffix, parts, lo)
+    owners, dumped = packing
     cells = [[positive[i] for i in owner] for owner in owners]
     cells[0].extend(positive[i] for i in dumped)
     cells[0].extend(zeros)
@@ -299,34 +306,3 @@ def instance_mms_all(
 def instance_mms_values(instance: Instance, **kwargs) -> dict:
     """Like instance_mms_all but keeping only the values."""
     return {a: r.value for a, r in instance_mms_all(instance, **kwargs).items()}
-
-
-def mms_score(
-    instance: Instance,
-    allocation: Allocation,
-    *,
-    mms_values: Optional[Mapping] = None,
-    max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
-) -> Value:
-    """The largest alpha for which ``allocation`` is an alpha-MMS allocation.
-
-    That is min over agents of bundle value / MMS value, where each MMS is
-    taken over goods + dummies.  Agents whose MMS is 0 impose no constraint;
-    if no agent has a positive MMS the allocation is vacuously fair and the
-    score is reported as 1.
-    """
-    if not allocation.complete:
-        raise ContractError("mms_score requires a complete allocation")
-    validate_allocation(instance, allocation)
-    if mms_values is None:
-        mms_values = instance_mms_values(instance, max_goods=max_goods,
-                                         max_parts=max_parts)
-    ratios = []
-    for a in instance.agents:
-        share = mms_values[a]
-        if share > 0:
-            ratios.append(bundle_value(instance, a, allocation.bundles[a]) / share)
-    if not ratios:
-        return Fraction(1)
-    return min(ratios)

@@ -25,19 +25,13 @@ from .core import (
     Instance,
     Value,
     allocation_to_json,
-    bundle_value,
     format_value,
     parse_value,
     validate_instance,
 )
 from .errors import ContractError, InternalInvariantError
-from .oracle import (
-    DEFAULT_MAX_GOODS,
-    DEFAULT_MAX_PARTS,
-    instance_mms_all,
-    instance_mms_values,
-    mms_score,
-)
+from .harness import per_agent_json, verify
+from .oracle import DEFAULT_MAX_GOODS, DEFAULT_MAX_PARTS, instance_mms_all, instance_mms_values
 from .transforms import (
     ReductionLog,
     alpha_limit,
@@ -113,18 +107,12 @@ class SolveReport:
     irreducible_instance: Optional[Instance]
 
     def to_json(self, instance: Instance) -> dict:
-        def fmt(v):
-            return None if v is None else format_value(v)
-
         return {
             "alpha": self.alpha.to_json(),
             "score": format_value(self.score),
             "allocation": allocation_to_json(instance, self.allocation),
             "peeled_agents": list(self.peeled),
-            "per_agent": {
-                str(a): {"bundle_value": fmt(bv), "mms": fmt(mv), "ratio": fmt(r)}
-                for a, (bv, mv, r) in sorted(self.per_agent.items())
-            },
+            "per_agent": per_agent_json(self.per_agent),
             "reductions": [
                 {"rule": rec.rule, "agent": rec.agent,
                  "goods": sorted(rec.removed_goods),
@@ -138,19 +126,6 @@ class SolveReport:
                                 sorted(self.bagfill.state.assignments.items())},
             },
         }
-
-
-def _drop_agents(instance: Instance, drop: set) -> Instance:
-    survivors = tuple(a for a in instance.agents if a not in drop)
-    valuations = {a: dict(instance.valuations[a]) for a in survivors}
-    # Certificates pin a partition into n cells; they go stale as soon as
-    # the number of agents changes.
-    certs = instance.certificates if not drop else None
-    if certs is not None:
-        certs = {a: cells for a, cells in certs.items() if a in survivors}
-    return Instance(agents=survivors, goods=instance.goods,
-                    dummies=instance.dummies, valuations=valuations,
-                    certificates=certs)
 
 
 def approx_mms(
@@ -177,74 +152,61 @@ def approx_mms(
     base_values = {a: r.value for a, r in base.items()}
     peeled = tuple(a for a in instance.agents if base_values[a] == 0)
 
+    bag_run = irreducible = None
     if len(peeled) == instance.n:
         # Nobody can secure positive value; park all goods on the first agent.
         bundles = {a: frozenset() for a in instance.agents}
         if instance.agents:
             bundles[instance.agents[0]] = frozenset(instance.goods)
-        allocation = Allocation(bundles=bundles, complete=True)
         log = ReductionLog(records=(), initial=instance, final=instance)
-        per_agent = {a: (bundle_value(instance, a, bundles[a]), Fraction(0), None)
-                     for a in instance.agents}
-        return SolveReport(allocation=allocation, score=Fraction(1), alpha=choice,
-                           reduction_log=log, bagfill=None, per_agent=per_agent,
-                           peeled=peeled, irreducible_instance=None)
-
-    working = _drop_agents(instance, set(peeled))
-    ordered1, map1 = to_ordered(working)
-    log = reduce(ordered1, alpha, max_goods=max_goods, max_parts=max_parts)
-    final = log.final
-
-    bag_run = None
-    irreducible = None
-    if final.n == 1:
-        last = final.agents[0]
-        sub_alloc = Allocation(bundles={last: frozenset(final.goods)}, complete=True)
     else:
-        renormalized = normalize(final, max_goods=max_goods, max_parts=max_parts)
-        irreducible, map2 = to_ordered(renormalized)
-        oni_values = instance_mms_values(irreducible)
-        bad = {a: v for a, v in oni_values.items() if v != 1}
-        if bad:
-            raise InternalInvariantError(
-                f"normalization did not pin every maximin share to 1: {bad}",
-                payload=log)
-        if not is_totally_irreducible(irreducible, alpha, oni_values):
-            raise InternalInvariantError(
-                "instance is still reducible after the reduce/normalize/order "
-                "composition", payload=log)
-        if irreducible.m < 2 * irreducible.n:
-            raise InternalInvariantError(
-                f"only {irreducible.m} goods remain for {irreducible.n} bags",
-                payload=log)
-        bag_run = run_bag_fill(irreducible, alpha)
-        if bag_run.allocation is None:
-            raise InternalInvariantError(
-                "bag filling ran out of goods on a reduced instance; this "
-                "contradicts the solver's guarantee", payload=(log, bag_run))
-        completed = complete_allocation(irreducible, bag_run.allocation)
-        lifted = lift_ordered(map2, renormalized, completed)
-        # Renormalization kept the good ids, so the lifted allocation is
-        # directly an allocation of the reduce output.
-        sub_alloc = Allocation(bundles=lifted.bundles, complete=True)
+        working = instance.without(agents=peeled)
+        ordered1, map1 = to_ordered(working)
+        log = reduce(ordered1, alpha, max_goods=max_goods, max_parts=max_parts)
+        final = log.final
+        if final.n == 1:
+            last = final.agents[0]
+            sub_alloc = Allocation(bundles={last: frozenset(final.goods)}, complete=True)
+        else:
+            renormalized = normalize(final, max_goods=max_goods, max_parts=max_parts)
+            irreducible, map2 = to_ordered(renormalized)
+            oni_values = instance_mms_values(irreducible)
+            bad = {a: v for a, v in oni_values.items() if v != 1}
+            if bad:
+                raise InternalInvariantError(
+                    f"normalization did not pin every maximin share to 1: {bad}",
+                    payload=log)
+            if not is_totally_irreducible(irreducible, alpha, oni_values):
+                raise InternalInvariantError(
+                    "instance is still reducible after the reduce/normalize/order "
+                    "composition", payload=log)
+            if irreducible.m < 2 * irreducible.n:
+                raise InternalInvariantError(
+                    f"only {irreducible.m} goods remain for {irreducible.n} bags",
+                    payload=log)
+            bag_run = run_bag_fill(irreducible, alpha)
+            if bag_run.allocation is None:
+                raise InternalInvariantError(
+                    "bag filling ran out of goods on a reduced instance; this "
+                    "contradicts the solver's guarantee", payload=(log, bag_run))
+            completed = complete_allocation(irreducible, bag_run.allocation)
+            lifted = lift_ordered(map2, renormalized, completed)
+            # Renormalization kept the good ids, so the lifted allocation is
+            # directly an allocation of the reduce output.
+            sub_alloc = Allocation(bundles=lifted.bundles, complete=True)
 
-    alloc_ordered = lift_reductions(log, sub_alloc)
-    alloc_working = lift_ordered(map1, working, alloc_ordered)
-    bundles = dict(alloc_working.bundles)
-    for a in peeled:
-        bundles[a] = frozenset()
+        alloc_ordered = lift_reductions(log, sub_alloc)
+        alloc_working = lift_ordered(map1, working, alloc_ordered)
+        bundles = dict(alloc_working.bundles)
+        for a in peeled:
+            bundles[a] = frozenset()
     allocation = Allocation(bundles=bundles, complete=True)
 
-    per_agent = {}
-    for a in instance.agents:
-        bv = bundle_value(instance, a, bundles[a])
-        mv = base_values[a]
-        per_agent[a] = (bv, mv, bv / mv if mv > 0 else None)
-    score = mms_score(instance, allocation, mms_values=base_values)
-    if score < alpha:
+    check = verify(instance, allocation, alpha, mms_values=base_values)
+    if not check.passed:
         raise InternalInvariantError(
-            f"final score {score} fell below the threshold {alpha}",
+            f"final score {check.score} fell below the threshold {alpha}",
             payload=(log, bag_run))
-    return SolveReport(allocation=allocation, score=score, alpha=choice,
-                       reduction_log=log, bagfill=bag_run, per_agent=per_agent,
+    return SolveReport(allocation=allocation, score=check.score, alpha=choice,
+                       reduction_log=log, bagfill=bag_run, per_agent=check.per_agent,
                        peeled=peeled, irreducible_instance=irreducible)

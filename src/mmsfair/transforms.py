@@ -280,7 +280,7 @@ def apply_reduction(instance: Instance, alpha: Value, k: int, agent: int,
     rules 1 and 3 to be inapplicable first.  Above threshold 3/4, rule 4
     appends a fresh dummy good worth max(0, v_j(S4) - MMS_j) to each
     survivor j.  Returns (new instance, ReductionRecord).  The new
-    instance drops any certificates, which go stale once goods move.
+    instance is built by ``Instance.without``, which drops certificates.
     """
     if rule_target(instance, alpha, k, mms_values) != agent:
         raise ContractError(
@@ -290,33 +290,16 @@ def apply_reduction(instance: Instance, alpha: Value, k: int, agent: int,
             if rule_target(instance, alpha, blocker, mms_values) is not None:
                 raise ContractError(
                     f"rule 4 applied while rule {blocker} is still applicable")
-    removed = rule_bundle(instance, k)
-    removed_set = frozenset(removed)
-    survivors = tuple(a for a in instance.agents if a != agent)
-
+    removed = frozenset(rule_bundle(instance, k))
     dummy_created = None
-    new_dummies = instance.dummies
     if k == 4 and alpha > Fraction(3, 4):
-        dummy_id = fresh_id("d", instance.all_goods)
-        dummy_values = {
+        dummy_created = (fresh_id("d", instance.all_goods), {
             a: max(ZERO, bundle_value(instance, a, removed) - mms_values[a])
-            for a in survivors
-        }
-        dummy_created = (dummy_id, dummy_values)
-        new_dummies = instance.dummies + (dummy_id,)
-
-    valuations = {}
-    for a in survivors:
-        row = {g: v for g, v in instance.valuations[a].items()
-               if g not in removed_set}
-        if dummy_created is not None:
-            row[dummy_created[0]] = dummy_created[1][a]
-        valuations[a] = row
-    goods = tuple(g for g in instance.goods if g not in removed_set)
-    reduced = Instance(agents=survivors, goods=goods, dummies=new_dummies,
-                       valuations=valuations, certificates=None)
+            for a in instance.agents if a != agent
+        })
+    reduced = instance.without(agents=(agent,), goods=removed, dummy=dummy_created)
     record = ReductionRecord(rule=f"R{k}", agent=agent,
-                             removed_goods=removed_set,
+                             removed_goods=removed,
                              dummy_created=dummy_created,
                              pre_mms=dict(mms_values))
     return reduced, record
@@ -373,27 +356,14 @@ def reduce(
 def replay_log(log: ReductionLog) -> list:
     """Reconstruct every intermediate instance from the log's records.
 
+    Each step is the ``Instance.without`` call ``apply_reduction`` made.
     Returns [initial, after record 1, ..., final'].  The last element must
     equal the log's final instance; used for audit and validity checks.
     """
     instances = [log.initial]
-    current = log.initial
     for rec in log.records:
-        survivors = tuple(a for a in current.agents if a != rec.agent)
-        goods = tuple(g for g in current.goods if g not in rec.removed_goods)
-        dummies = current.dummies
-        valuations = {}
-        for a in survivors:
-            row = {g: v for g, v in current.valuations[a].items()
-                   if g not in rec.removed_goods}
-            if rec.dummy_created is not None:
-                row[rec.dummy_created[0]] = rec.dummy_created[1][a]
-            valuations[a] = row
-        if rec.dummy_created is not None:
-            dummies = dummies + (rec.dummy_created[0],)
-        current = Instance(agents=survivors, goods=goods, dummies=dummies,
-                           valuations=valuations, certificates=None)
-        instances.append(current)
+        instances.append(instances[-1].without(
+            agents=(rec.agent,), goods=rec.removed_goods, dummy=rec.dummy_created))
     return instances
 
 

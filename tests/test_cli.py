@@ -68,13 +68,41 @@ def test_gen_random_and_mms_command(tmp_path, capsys):
     assert list(json.loads(out)) == ["1"]
 
 
+_OK_ROWS = {"0": {"g1": 1, "g2": 1}, "1": {"g1": 1, "g2": 1}}
+_OK_INSTANCE = {"agents": 2, "goods": ["g1", "g2"], "valuations": _OK_ROWS}
+
+# (instance document, allocation document or None, field the error names)
+MALFORMED = [
+    ({"agents": 2, "goods": ["g1"], "valuations": {"0": {"g1": 1}}}, None,
+     "agent 1"),
+    (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"1": [1, 1]})), None,
+     "valuations['1']"),
+    (dict(_OK_INSTANCE, certificates={"x": [["g1"], ["g2"]]}), None,
+     "certificates"),
+    (dict(_OK_INSTANCE, goods=["g1", ["g2"]]), None, "goods"),
+    ({"agents": 1, "goods": "ab", "valuations": {"0": {"a": 1, "b": 1}}}, None,
+     "goods"),
+    ({"agents": True, "goods": ["g1"], "valuations": {"0": {"g1": 1}}}, None,
+     "agents"),
+    (_OK_INSTANCE, {"0": [["g1"]], "1": ["g2"]}, "bundle for agent 0"),
+    (_OK_INSTANCE, {"0": {"g1": True}, "1": ["g2"]}, "bundle for agent 0"),
+    (_OK_INSTANCE, {"0": ["g1"], "1": ["g2"], "2": []}, "unknown agents"),
+]
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"agents": 2, "goods": ["g1"],
-                               "valuations": {"0": {"g1": 1}}}))
-    code, _, err = _run(capsys, "solve", "--input", str(bad))
-    assert code == 2
-    assert "error" in err
+    inst_file = tmp_path / "inst.json"
+    alloc_file = tmp_path / "alloc.json"
+    for instance, allocation, field in MALFORMED:
+        inst_file.write_text(json.dumps(instance))
+        if allocation is None:
+            code, _, err = _run(capsys, "solve", "--input", str(inst_file))
+        else:
+            alloc_file.write_text(json.dumps(allocation))
+            code, _, err = _run(capsys, "verify", "--input", str(inst_file),
+                                "--allocation", str(alloc_file), "--alpha", "3/4")
+        assert code == 2, (instance, allocation, err)
+        assert err.startswith("error") and field in err, (instance, allocation, err)
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):

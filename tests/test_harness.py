@@ -1,6 +1,7 @@
 """Generators, golden files, and the verification driver."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import mmsfair as mf
 
-from helpers import random_instance
+from helpers import random_complete_allocation, random_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,6 +107,32 @@ def test_verify_flags_starved_agent():
     check = mf.verify(inst, greedy, Fraction(3, 4))
     assert not check.passed
     assert check.per_agent[1][2] == 0
+
+
+def test_verify_scores_against_given_shares():
+    # shares from the independent naive oracle score exactly as the
+    # production oracle's do
+    rng = random.Random(53)
+    for seed in range(10):
+        inst = random_instance(seed, 2, 6, bound=9)
+        alloc = random_complete_allocation(rng, inst)
+        naive_vals = {a: mf.mms_naive(inst.valuations[a], 2, inst.goods).value
+                      for a in inst.agents}
+        given = mf.verify(inst, alloc, Fraction(3, 4), mms_values=naive_vals)
+        assert given == mf.verify(inst, alloc, Fraction(3, 4))
+
+
+def test_verify_zero_share_agents_are_unconstrained():
+    inst = mf.make_instance(2, ["g1", "g2"],
+                            {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
+    alloc = mf.Allocation({0: frozenset(), 1: frozenset({"g1", "g2"})},
+                          complete=True)
+    # agent 0 has zero share and an empty bundle; only agent 1 counts
+    check = mf.verify(inst, alloc, Fraction(3, 4))
+    assert check.score == 2 and check.per_agent[0][2] is None
+    all_zero = mf.make_instance(2, ["g1", "g2"],
+                                {0: {"g1": 0, "g2": 0}, 1: {"g1": 0, "g2": 0}})
+    assert mf.verify(all_zero, alloc, Fraction(3, 4)).score == 1
 
 
 def test_verify_uses_certificates_beyond_capacity():

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 import mmsfair as mf
-
-from helpers import random_instance
+from mmsfair import oracle
 
 
 def _vals(numbers):
@@ -163,54 +162,19 @@ def test_identical_rows_share_one_search():
     assert results[0] is results[3]
 
 
-def test_mms_score_of_certificate_partition_is_one():
-    inst = mf.gen_tight_example(3)
-    cells = list(inst.certificates[0])
-    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents}, complete=True)
-    assert mf.mms_score(inst, alloc) == 1
+def test_max_min_partition_probes_each_threshold_once(monkeypatch):
+    # LPT packs [3, 3, 2, 2, 2] into 5 | 7; the optimum 6 | 6 is found by
+    # one successful probe at 6, whose packing is the one returned.
+    thresholds = []
+    real_pack = oracle._pack
 
+    def recording_pack(weights, suffix, parts, tau):
+        thresholds.append(tau)
+        return real_pack(weights, suffix, parts, tau)
 
-def test_mms_score_tight_bags_plus_leftovers():
-    inst = mf.gen_tight_example(3)
-    alloc = mf.Allocation(bundles={
-        0: frozenset({"g1", "g6", "g7", "g8"}),
-        1: frozenset({"g2", "g5"}),
-        2: frozenset({"g3", "g4"}),
-    }, complete=True)
-    assert mf.mms_score(inst, alloc) == Fraction(8, 10)
-
-
-def test_mms_score_agrees_with_naive_oracle():
-    rng = random.Random(53)
-    for seed in range(10):
-        inst = random_instance(seed, 2, 6, bound=9)
-        bundles = {0: set(), 1: set()}
-        for g in inst.goods:
-            bundles[rng.choice((0, 1))].add(g)
-        alloc = mf.Allocation({a: frozenset(b) for a, b in bundles.items()},
-                              complete=True)
-        naive_vals = {a: mf.mms_naive(inst.valuations[a], 2, inst.goods).value
-                      for a in inst.agents}
-        if all(v == 0 for v in naive_vals.values()):
-            continue
-        assert mf.mms_score(inst, alloc) == \
-            mf.mms_score(inst, alloc, mms_values=naive_vals)
-
-
-def test_mms_score_zero_share_agents_are_unconstrained():
-    inst = mf.make_instance(2, ["g1", "g2"],
-                            {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
-    alloc = mf.Allocation({0: frozenset(), 1: frozenset({"g1", "g2"})},
-                          complete=True)
-    # agent 0 has zero share and an empty bundle; only agent 1 counts
-    assert mf.mms_score(inst, alloc) == 2
-    all_zero = mf.make_instance(2, ["g1", "g2"],
-                                {0: {"g1": 0, "g2": 0}, 1: {"g1": 0, "g2": 0}})
-    assert mf.mms_score(all_zero, alloc) == 1
-
-
-def test_mms_score_requires_complete_allocation():
-    inst = random_instance(7, 2, 4)
-    partial = mf.Allocation({0: frozenset(), 1: frozenset()}, complete=False)
-    with pytest.raises(mf.ContractError):
-        mf.mms_score(inst, partial)
+    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    vals = _vals([3, 3, 2, 2, 2])
+    r = mf.mms(vals, 2, list(vals))
+    assert r.value == 6
+    _check_witness(vals, 2, r)
+    assert thresholds == [6]
