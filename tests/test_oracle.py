@@ -8,6 +8,8 @@ import pytest
 import mmsfair as mf
 from mmsfair import oracle
 
+from helpers import random_instance
+
 
 def _vals(numbers):
     return {f"g{i}": Fraction(v) for i, v in enumerate(numbers, 1)}
@@ -160,6 +162,31 @@ def test_identical_rows_share_one_search():
     results = mf.instance_mms_all(stripped)
     assert all(r.value == 1 for r in results.values())
     assert results[0] is results[3]
+
+
+def test_mms_score_of_certificate_partition_is_one():
+    # the MMS score (min bundle value / share) is computed by verify
+    inst = mf.gen_tight_example(3)
+    cells = list(inst.certificates[0])
+    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents}, complete=True)
+    assert mf.verify(inst, alloc, Fraction(3, 4)).score == 1
+
+
+def test_mms_score_tight_bags_plus_leftovers():
+    inst = mf.gen_tight_example(3)
+    alloc = mf.Allocation(bundles={
+        0: frozenset({"g1", "g6", "g7", "g8"}),
+        1: frozenset({"g2", "g5"}),
+        2: frozenset({"g3", "g4"}),
+    }, complete=True)
+    assert mf.verify(inst, alloc, Fraction(3, 4)).score == Fraction(8, 10)
+
+
+def test_mms_score_requires_complete_allocation():
+    inst = random_instance(7, 2, 4)
+    partial = mf.Allocation({0: frozenset(), 1: frozenset()}, complete=False)
+    with pytest.raises(mf.ContractError):
+        mf.verify(inst, partial, Fraction(3, 4))
 
 
 def test_max_min_partition_probes_each_threshold_once(monkeypatch):
