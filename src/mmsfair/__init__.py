@@ -6,7 +6,7 @@ rational arithmetic throughout, with an exhaustive maximin oracle for
 independent verification and generators for the known worst-case family.
 """
 
-from .bagfill import BagFillRun, BagState, TraceEvent, bag_fill, complete_allocation, run_bag_fill
+from .bagfill import BagFillRun, BagState, TraceEvent, complete_allocation, run_bag_fill
 from .core import (
     Allocation,
     Bundle,
@@ -93,7 +93,6 @@ __all__ = [
     "alpha_limit",
     "apply_reduction",
     "approx_mms",
-    "bag_fill",
     "bundle_value",
     "complete_allocation",
     "format_value",

@@ -122,11 +122,6 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
     return BagFillRun(allocation=allocation, state=state, trace=tuple(trace))
 
 
-def bag_fill(instance: Instance, alpha: Value) -> Optional[Allocation]:
-    """Partial allocation from bag filling, or None if the goods ran out."""
-    return run_bag_fill(instance, alpha).allocation
-
-
 def complete_allocation(instance: Instance, partial: Allocation) -> Allocation:
     """Hand each leftover real good to the agent who values it most.
 

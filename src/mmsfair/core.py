@@ -23,7 +23,6 @@ Value = Fraction
 Bundle = frozenset  # of good ids (str)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def parse_value(raw) -> Fraction:
@@ -154,9 +153,6 @@ class Allocation:
     bundles: dict
     complete: bool = True
 
-    def bundle(self, agent) -> Bundle:
-        return self.bundles[agent]
-
 
 def make_instance(
     n_or_agents,
@@ -180,7 +176,12 @@ def make_instance(
     for a in agents:
         if a not in valuations:
             raise ValidationError(f"valuations: missing row for agent {a}")
-        vals[a] = {g: parse_value(v) for g, v in valuations[a].items()}
+        vals[a] = {}
+        for g, v in valuations[a].items():
+            try:
+                vals[a][g] = parse_value(v)
+            except ValidationError as exc:
+                raise ValidationError(f"valuations[{a}][{g}]: {exc}") from None
     certs = None
     if certificates is not None:
         certs = {
@@ -319,11 +320,13 @@ def _by_agent(raw, agents: Iterable, field: str) -> dict:
 
 
 def instance_from_json(doc: Mapping) -> Instance:
+    if not isinstance(doc, dict):
+        raise ValidationError("instance JSON must be an object")
     try:
         n = doc["agents"]
         goods = doc["goods"]
         valuations = doc["valuations"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"instance JSON: missing field {exc}") from None
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValidationError(f"instance JSON: 'agents' must be a non-negative count, got {n!r}")

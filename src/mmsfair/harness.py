@@ -31,7 +31,7 @@ from .core import (
     validate_allocation,
 )
 from .errors import ContractError
-from .oracle import DEFAULT_MAX_GOODS, DEFAULT_MAX_PARTS, instance_mms_values
+from .oracle import DEFAULT_MAX_GOODS, instance_mms_values
 
 GENERATOR_KINDS = ("tight", "uniform-int", "uniform-rational")
 
@@ -151,7 +151,6 @@ def verify(
     *,
     mms_values: Optional[Mapping] = None,
     max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
 ) -> VerifyReport:
     """Score a complete allocation: per-agent shares, ratios, and pass/fail.
 
@@ -164,8 +163,7 @@ def verify(
         raise ContractError("verify requires a complete allocation")
     validate_allocation(instance, allocation)
     if mms_values is None:
-        mms_values = instance_mms_values(instance, max_goods=max_goods,
-                                         max_parts=max_parts)
+        mms_values = instance_mms_values(instance, max_goods=max_goods)
     per_agent = {}
     ratios = []
     for a in instance.agents:

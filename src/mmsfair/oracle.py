@@ -37,7 +37,7 @@ from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer w
 from .errors import CapacityError, ContractError, ValidationError
 
 DEFAULT_MAX_GOODS = 20
-DEFAULT_MAX_PARTS = 8
+MAX_PARTS = 8  # fixed; only a certificate lifts it
 
 NAIVE_MAX_GOODS = 10
 NAIVE_MAX_PARTS = 4
@@ -176,12 +176,13 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
     return lo, cells
 
 
-def _check_capacity(count: int, parts: int, max_goods: int, max_parts: int) -> None:
-    if count > max_goods or parts > max_parts:
+def _check_capacity(count: int, parts: int, max_goods: int) -> None:
+    if count > max_goods or parts > MAX_PARTS:
         raise CapacityError(
             f"exact MMS search over {count} goods / {parts} parts exceeds the "
-            f"limit ({max_goods} goods, {max_parts} parts); raise the limit "
-            f"explicitly or supply a certificate")
+            f"limit ({max_goods} goods, {MAX_PARTS} parts); raise the good limit "
+            f"explicitly, or supply a certificate: only a certificate lifts the "
+            f"fixed part limit")
 
 
 def _certified(valuation: Mapping, parts: int, goods: list, certificate) -> MmsResult:
@@ -206,7 +207,6 @@ def mms(
     *,
     certificate=None,
     max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
 ) -> MmsResult:
     """Exact maximin share of ``good_set`` split into ``parts`` bundles.
 
@@ -231,7 +231,7 @@ def mms(
         values.append(v)
     if certificate is not None:
         return _certified(valuation, parts, goods, certificate)
-    _check_capacity(len(goods), parts, max_goods, max_parts)
+    _check_capacity(len(goods), parts, max_goods)
     scaled, denom = _scaled(values)
     raw, cells = _max_min_partition(scaled, parts)
     partition = tuple(frozenset(goods[i] for i in cell) for cell in cells)
@@ -277,7 +277,6 @@ def instance_mms_all(
     instance: Instance,
     *,
     max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
 ) -> dict:
     """Each agent's MmsResult over goods + dummies with n parts.
 
@@ -297,8 +296,7 @@ def instance_mms_all(
         row = instance.agent_row(a)
         if row not in row_cache:
             row_cache[row] = mms(instance.valuations[a], instance.n,
-                                 instance.all_goods,
-                                 max_goods=max_goods, max_parts=max_parts)
+                                 instance.all_goods, max_goods=max_goods)
         results[a] = row_cache[row]
     return results
 

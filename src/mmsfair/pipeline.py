@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import ContractError, InternalInvariantError
 from .harness import per_agent_json, verify
-from .oracle import DEFAULT_MAX_GOODS, DEFAULT_MAX_PARTS, instance_mms_all, instance_mms_values
+from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
 from .transforms import (
     ReductionLog,
     alpha_limit,
@@ -133,7 +133,6 @@ def approx_mms(
     choice: AlphaChoice,
     *,
     max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
 ) -> SolveReport:
     """Solve one instance at the chosen threshold; the score meets alpha.
 
@@ -148,7 +147,7 @@ def approx_mms(
             f"instance has {instance.n}")
     alpha = choice.alpha
 
-    base = instance_mms_all(instance, max_goods=max_goods, max_parts=max_parts)
+    base = instance_mms_all(instance, max_goods=max_goods)
     base_values = {a: r.value for a, r in base.items()}
     peeled = tuple(a for a in instance.agents if base_values[a] == 0)
 
@@ -162,13 +161,13 @@ def approx_mms(
     else:
         working = instance.without(agents=peeled)
         ordered1, map1 = to_ordered(working)
-        log = reduce(ordered1, alpha, max_goods=max_goods, max_parts=max_parts)
+        log = reduce(ordered1, alpha, max_goods=max_goods)
         final = log.final
         if final.n == 1:
             last = final.agents[0]
             sub_alloc = Allocation(bundles={last: frozenset(final.goods)}, complete=True)
         else:
-            renormalized = normalize(final, max_goods=max_goods, max_parts=max_parts)
+            renormalized = normalize(final, max_goods=max_goods)
             irreducible, map2 = to_ordered(renormalized)
             oni_values = instance_mms_values(irreducible)
             bad = {a: v for a, v in oni_values.items() if v != 1}

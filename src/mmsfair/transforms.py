@@ -38,7 +38,7 @@ from .core import (
     validate_allocation,
 )
 from .errors import ContractError, InternalInvariantError
-from .oracle import DEFAULT_MAX_GOODS, DEFAULT_MAX_PARTS, instance_mms_all, instance_mms_values
+from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
 
 RULES = (1, 2, 3, 4)
 
@@ -71,10 +71,6 @@ class OrderingMap:
 
     rank_goods: tuple
     by_agent: dict
-
-    @property
-    def good_count(self) -> int:
-        return len(self.rank_goods)
 
 
 def to_ordered(instance: Instance) -> tuple:
@@ -157,12 +153,7 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
     return lifted
 
 
-def normalize(
-    instance: Instance,
-    *,
-    max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
-) -> Instance:
+def normalize(instance: Instance, *, max_goods: int = DEFAULT_MAX_GOODS) -> Instance:
     """Rescale so every agent's maximin share over goods + dummies is 1.
 
     Each agent's values are divided cell-wise by the value of the cell
@@ -171,7 +162,7 @@ def normalize(
     records as a certificate.  Requires every agent's maximin share to be
     positive (peel zero-share agents first).
     """
-    results = instance_mms_all(instance, max_goods=max_goods, max_parts=max_parts)
+    results = instance_mms_all(instance, max_goods=max_goods)
     valuations = {}
     certificates = {}
     for a in instance.agents:
@@ -310,7 +301,6 @@ def reduce(
     alpha: Value,
     *,
     max_goods: int = DEFAULT_MAX_GOODS,
-    max_parts: int = DEFAULT_MAX_PARTS,
 ) -> ReductionLog:
     """Apply reduction rules until none fits or one agent remains.
 
@@ -330,8 +320,7 @@ def reduce(
     current = instance
     prev_values = None
     while current.n > 1:
-        values = instance_mms_values(current, max_goods=max_goods,
-                                     max_parts=max_parts)
+        values = instance_mms_values(current, max_goods=max_goods)
         if prev_values is not None:
             for a in current.agents:
                 if values[a] < prev_values[a]:

@@ -77,7 +77,7 @@ def test_criterion_2_tight_example_bounds():
         for above in (tau + Fraction(1, 10**6), Fraction(9, 10), Fraction(1)):
             if above <= tau:
                 continue
-            if mf.bag_fill(inst, above) is not None:
+            if mf.run_bag_fill(inst, above).allocation is not None:
                 violations.append((n, "bag fill succeeded above tau", above))
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 30.0

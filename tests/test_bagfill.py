@@ -37,7 +37,7 @@ def test_tight_example_fails_above_initial_bag_value():
 def test_single_agent_bag():
     inst = mf.make_instance(1, ["g1", "g2"],
                             {0: {"g1": "1/2", "g2": "1/2"}})
-    alloc = mf.bag_fill(inst, Fraction(3, 4))
+    alloc = mf.run_bag_fill(inst, Fraction(3, 4)).allocation
     assert alloc is not None
     assert alloc.bundles[0] == frozenset({"g1", "g2"})
 
@@ -46,10 +46,10 @@ def test_contract_errors():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 2, "g3": 1} for a in range(2)})
     with pytest.raises(mf.ContractError, match="at least"):
-        mf.bag_fill(inst, Fraction(3, 4))  # 3 goods < 2n
+        mf.run_bag_fill(inst, Fraction(3, 4)).allocation  # 3 goods < 2n
     unordered = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
     with pytest.raises(mf.ContractError, match="ordered"):
-        mf.bag_fill(unordered, Fraction(3, 4))
+        mf.run_bag_fill(unordered, Fraction(3, 4)).allocation
 
 
 def test_dummies_never_enter_bags():

@@ -1,8 +1,10 @@
 """CLI commands, file schemas, and exit codes."""
 
 import json
+import threading
 
 import mmsfair as mf
+from mmsfair import cli
 from mmsfair.cli import main
 
 
@@ -87,6 +89,9 @@ MALFORMED = [
     (_OK_INSTANCE, {"0": [["g1"]], "1": ["g2"]}, "bundle for agent 0"),
     (_OK_INSTANCE, {"0": {"g1": True}, "1": ["g2"]}, "bundle for agent 0"),
     (_OK_INSTANCE, {"0": ["g1"], "1": ["g2"], "2": []}, "unknown agents"),
+    ({"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": [1]}}}, None,
+     "valuations[0][g1]"),
+    ([1, 2], None, "instance JSON must be an object"),
 ]
 
 
@@ -143,6 +148,24 @@ def test_bench_command(capsys):
     assert [r["id"] for r in doc["results"]] == \
         sorted(r["id"] for r in doc["results"])
     assert all(r["ok"] for r in doc["results"])
+
+
+def test_bench_solves_on_the_calling_thread_without_reverifying(monkeypatch, capsys):
+    solved_on = []
+    verified = []
+
+    def approx_mms(*args, **kwargs):
+        solved_on.append(threading.get_ident())
+        return mf.approx_mms(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "approx_mms", approx_mms)
+    monkeypatch.setattr(cli, "verify", lambda *args, **kwargs: verified.append(args))
+    code, out, _ = _run(capsys, "bench", "--count", "4", "--seed", "5",
+                        "--threads", "2")
+    assert code == 0
+    assert json.loads(out)["count"] == 4
+    assert solved_on == [threading.get_ident()] * 4
+    assert verified == []
 
 
 def test_bench_rejects_unknown_suite(capsys):
