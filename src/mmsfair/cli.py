@@ -40,7 +40,10 @@ from .transforms import ReductionLog
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
+            raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
 
 
 def _write_json(doc, path: Optional[str]) -> None:
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
             json.dump(_payload_doc(exc.payload), sys.stderr, indent=2)
             print(file=sys.stderr)
         return 4
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

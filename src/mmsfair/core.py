@@ -12,6 +12,7 @@ Instances are immutable: transformations return new instances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +24,9 @@ Value = Fraction
 Bundle = frozenset  # of good ids (str)
 
 ZERO = Fraction(0)
+
+# The only string forms a value may take: no sign, decimal point or exponent.
+_VALUE_STRING = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_value(raw) -> Fraction:
@@ -36,8 +40,11 @@ def parse_value(raw) -> Fraction:
     if isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, str):
+        match = _VALUE_STRING.fullmatch(raw.strip())
+        if match is None:
+            raise ValidationError(f"cannot parse value {raw!r}: expected digits or 'p/q'")
         try:
-            value = Fraction(raw.strip())
+            value = Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse value {raw!r}: {exc}") from None
     elif isinstance(raw, Fraction):

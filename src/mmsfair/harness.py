@@ -33,8 +33,6 @@ from .core import (
 from .errors import ContractError
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_values
 
-GENERATOR_KINDS = ("tight", "uniform-int", "uniform-rational")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:

@@ -1,12 +1,13 @@
 """End-to-end approximate maximin-share solver.
 
-The pipeline: remove agents whose maximin share is zero, order the
-instance, reduce it at threshold alpha, renormalize and re-order, run bag
-filling, hand out leftovers, then lift the allocation back through every
-transformation.  The composed output is checked (not assumed) to be
-ordered, normalized, and totally irreducible before bag filling, and the
-final score is checked against alpha; either failing is an internal
-invariant violation, never a silently degraded answer.
+The pipeline: order the instance and search every share once, set aside
+agents whose share is zero, reduce at threshold alpha, renormalize by the
+partitions the reductions left and re-order, run bag filling, hand out
+leftovers, then lift the allocation back through reductions and ordering.
+The composed output is checked (not assumed) to be ordered, normalized,
+and totally irreducible before bag filling, and the final score is
+checked against alpha; either failing is an internal invariant
+violation, never a silently degraded answer.
 
 The threshold is fixed once from the original agent count.  The proven
 guarantee is alpha = 3/4 + min(1/36, 3/(16n-4)); bag filling provably
@@ -147,7 +148,8 @@ def approx_mms(
             f"instance has {instance.n}")
     alpha = choice.alpha
 
-    base = instance_mms_all(instance, max_goods=max_goods)
+    ordered, order_map = to_ordered(instance)
+    base = instance_mms_all(ordered, max_goods=max_goods)
     base_values = {a: r.value for a, r in base.items()}
     peeled = tuple(a for a in instance.agents if base_values[a] == 0)
 
@@ -159,15 +161,15 @@ def approx_mms(
             bundles[instance.agents[0]] = frozenset(instance.goods)
         log = ReductionLog(records=(), initial=instance, final=instance)
     else:
-        working = instance.without(agents=peeled)
-        ordered1, map1 = to_ordered(working)
-        log = reduce(ordered1, alpha, max_goods=max_goods)
+        working = ordered.without(agents=peeled)
+        shares = instance_mms_all(working, max_goods=max_goods) if peeled else base
+        log = reduce(working, alpha, shares, max_goods=max_goods)
         final = log.final
         if final.n == 1:
             last = final.agents[0]
             sub_alloc = Allocation(bundles={last: frozenset(final.goods)}, complete=True)
         else:
-            renormalized = normalize(final, max_goods=max_goods)
+            renormalized = normalize(final, log.shares)
             irreducible, map2 = to_ordered(renormalized)
             oni_values = instance_mms_values(irreducible)
             bad = {a: v for a, v in oni_values.items() if v != 1}
@@ -189,16 +191,15 @@ def approx_mms(
                     "bag filling ran out of goods on a reduced instance; this "
                     "contradicts the solver's guarantee", payload=(log, bag_run))
             completed = complete_allocation(irreducible, bag_run.allocation)
-            lifted = lift_ordered(map2, renormalized, completed)
-            # Renormalization kept the good ids, so the lifted allocation is
-            # directly an allocation of the reduce output.
-            sub_alloc = Allocation(bundles=lifted.bundles, complete=True)
+            # Renormalization kept the good ids, so this is directly an
+            # allocation of the reduce output.
+            sub_alloc = lift_ordered(map2, renormalized, completed)
 
-        alloc_ordered = lift_reductions(log, sub_alloc)
-        alloc_working = lift_ordered(map1, working, alloc_ordered)
-        bundles = dict(alloc_working.bundles)
+        bundles = dict(lift_reductions(log, sub_alloc).bundles)
         for a in peeled:
             bundles[a] = frozenset()
+        bundles = lift_ordered(order_map, instance,
+                               Allocation(bundles=bundles, complete=True)).bundles
     allocation = Allocation(bundles=bundles, complete=True)
 
     check = verify(instance, allocation, alpha, mms_values=base_values)

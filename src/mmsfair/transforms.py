@@ -7,9 +7,9 @@ any bundle's value to the owner's maximin share:
                   along a common index order, with a per-agent permutation
                   (``OrderingMap``) that lets a finished allocation be
                   lifted back by a picking procedure;
-* normalization-- rescale each agent's values by their own maximin
-                  partition's cell values, so every maximin share becomes
-                  exactly 1;
+* normalization-- rescale each agent's values by the cell values of the
+                  maximin partition the caller hands in (no search runs),
+                  so every maximin share becomes exactly 1;
 * reduction    -- repeatedly give one of four fixed prefix/suffix bundles
                   (rules R1..R4) to an agent who values it at least
                   alpha times their maximin share, shrinking the instance
@@ -38,7 +38,7 @@ from .core import (
     validate_allocation,
 )
 from .errors import ContractError, InternalInvariantError
-from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
+from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
 
 RULES = (1, 2, 3, 4)
 
@@ -153,38 +153,52 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
     return lifted
 
 
-def normalize(instance: Instance, *, max_goods: int = DEFAULT_MAX_GOODS) -> Instance:
+def normalize(instance: Instance, shares: Mapping) -> Instance:
     """Rescale so every agent's maximin share over goods + dummies is 1.
 
-    Each agent's values are divided cell-wise by the value of the cell
-    containing the good in that agent's maximin partition.  Every cell of
-    that partition then has value exactly 1, which the output instance
-    records as a certificate.  Requires every agent's maximin share to be
-    positive (peel zero-share agents first).
+    ``shares`` is the instance's {agent: MmsResult} table; no search runs.
+    Each agent's values are divided cell-wise by the cell values of their
+    maximin partition, which becomes the output's certificate (every cell
+    then worth exactly 1).  Requires every share to be positive (peel
+    zero-share agents first).
     """
-    results = instance_mms_all(instance, max_goods=max_goods)
+    _check_shares(instance, shares)
     valuations = {}
     certificates = {}
     for a in instance.agents:
-        partition = results[a].partition
+        partition = shares[a].partition
         row = instance.valuations[a]
+        covered = [g for cell in partition for g in cell]
+        if (len(partition) != instance.n or len(covered) != len(set(covered))
+                or set(covered) != set(instance.all_goods)):
+            raise ContractError(
+                f"agent {a}: maximin partition does not split all goods "
+                f"into {instance.n} cells")
+        cell_values = [sum((row[g] for g in cell), ZERO) for cell in partition]
+        if min(cell_values) != shares[a].value:
+            raise ContractError(
+                f"agent {a}: maximin partition's smallest cell is "
+                f"{min(cell_values)}, not the share {shares[a].value}")
         new_row = {}
-        for cell in partition:
-            cell_value = sum((row[g] for g in cell), ZERO)
+        for cell, cell_value in zip(partition, cell_values):
             if not cell or cell_value == 0:
                 raise ContractError(
                     f"agent {a} has an empty or zero-value maximin cell; "
                     "remove zero-share agents before normalizing")
             for g in cell:
                 new_row[g] = row[g] / cell_value
-        if len(new_row) != len(instance.all_goods):
-            raise ContractError(
-                f"agent {a}: maximin partition does not cover all goods")
         valuations[a] = new_row
         certificates[a] = partition
     return Instance(agents=instance.agents, goods=instance.goods,
                     dummies=instance.dummies, valuations=valuations,
                     certificates=certificates)
+
+
+def _check_shares(instance: Instance, shares: Mapping) -> None:
+    if set(shares) != set(instance.agents):
+        raise ContractError(
+            f"shares are given for agents {sorted(shares)}, but the instance "
+            f"has agents {list(instance.agents)}")
 
 
 def rule_bundle(instance: Instance, k: int) -> tuple:
@@ -258,6 +272,7 @@ class ReductionLog:
     records: tuple
     initial: Instance
     final: Instance
+    shares: Optional[dict] = None  # final's {agent: MmsResult}; None at one agent
 
     def to_json(self) -> list:
         return [rec.to_json() for rec in self.records]
@@ -299,16 +314,18 @@ def apply_reduction(instance: Instance, alpha: Value, k: int, agent: int,
 def reduce(
     instance: Instance,
     alpha: Value,
+    shares: Mapping,
     *,
     max_goods: int = DEFAULT_MAX_GOODS,
 ) -> ReductionLog:
     """Apply reduction rules until none fits or one agent remains.
 
-    Rules are probed in the fixed order 1, 2, 3, 4 and probing restarts
-    after every application, so rule 4 only ever fires when rules 1 and 3
-    just failed.  Maximin shares are recomputed from scratch each round;
-    a survivor's share shrinking below its previous snapshot would break
-    the reduction's validity and raises InternalInvariantError.
+    ``shares`` is the instance's {agent: MmsResult} table.  Rules are
+    probed in the fixed order 1, 2, 3, 4 and probing restarts after every
+    application, so rule 4 only ever fires when rules 1 and 3 just failed.
+    Each reduced instance with more than one agent is searched once; a
+    survivor's share shrinking below the value the reduction used would
+    break the reduction's validity and raises InternalInvariantError.
     """
     if not is_ordered(instance):
         raise ContractError("reduce requires an ordered instance")
@@ -316,30 +333,30 @@ def reduce(
         raise ContractError(
             f"threshold {alpha} outside (0, {alpha_limit(instance.n)}] "
             f"for {instance.n} agents")
+    _check_shares(instance, shares)
     records = []
     current = instance
-    prev_values = None
     while current.n > 1:
-        values = instance_mms_values(current, max_goods=max_goods)
-        if prev_values is not None:
-            for a in current.agents:
-                if values[a] < prev_values[a]:
-                    raise InternalInvariantError(
-                        f"agent {a}'s maximin share dropped from "
-                        f"{prev_values[a]} to {values[a]} after a reduction",
-                        payload=tuple(records))
-        applied = False
+        values = {a: shares[a].value for a in current.agents}
         for k in RULES:
             target = rule_target(current, alpha, k, values)
             if target is not None:
-                current, record = apply_reduction(current, alpha, k, target, values)
-                records.append(record)
-                prev_values = {a: values[a] for a in current.agents}
-                applied = True
                 break
-        if not applied:
+        else:
             break
-    return ReductionLog(records=tuple(records), initial=instance, final=current)
+        current, record = apply_reduction(current, alpha, k, target, values)
+        records.append(record)
+        if current.n == 1:
+            break
+        shares = instance_mms_all(current, max_goods=max_goods)
+        for a in current.agents:
+            if shares[a].value < values[a]:
+                raise InternalInvariantError(
+                    f"agent {a}'s maximin share dropped from "
+                    f"{values[a]} to {shares[a].value} after a reduction",
+                    payload=tuple(records))
+    return ReductionLog(records=tuple(records), initial=instance, final=current,
+                        shares=shares if current.n > 1 else None)
 
 
 def replay_log(log: ReductionLog) -> list:

@@ -269,7 +269,7 @@ def test_criterion_7_lift_correctness():
                 violations.append((i, "ordered lift", a))
 
         choice = mf.alpha_for(n, "improved")
-        log = mf.reduce(ordered, choice.alpha)
+        log = mf.reduce(ordered, choice.alpha, mf.instance_mms_all(ordered))
         sub_bundles = {a: frozenset() for a in log.final.agents}
         sub_bundles[log.final.agents[0]] = frozenset(log.final.goods)
         relifted = mf.lift_reductions(

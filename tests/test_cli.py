@@ -92,6 +92,8 @@ MALFORMED = [
     ({"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": [1]}}}, None,
      "valuations[0][g1]"),
     ([1, 2], None, "instance JSON must be an object"),
+    ({"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": "1e3"}}}, None,
+     "valuations[0][g1]"),
 ]
 
 
@@ -108,6 +110,17 @@ def test_exit_code_validation_error(tmp_path, capsys):
                                 "--allocation", str(alloc_file), "--alpha", "3/4")
         assert code == 2, (instance, allocation, err)
         assert err.startswith("error") and field in err, (instance, allocation, err)
+
+
+def test_unreadable_json_exits_2(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    huge = b'{"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": 1' \
+        + b"0" * 5000 + b"}}}"
+    for raw in (b"\xff\xfe{}", huge):
+        inst_file.write_bytes(raw)
+        code, _, err = _run(capsys, "solve", "--input", str(inst_file))
+        assert code == 2, (raw[:20], err)
+        assert err.startswith("error") and str(inst_file) in err, err
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):

@@ -26,7 +26,8 @@ def test_value_render_parse_roundtrip():
         assert mf.parse_value(mf.format_value(x)) == x
 
 
-@pytest.mark.parametrize("bad", [-1, "-2/3", "abc", "1/0", True, 0.5, None])
+@pytest.mark.parametrize("bad", [-1, "-2/3", "abc", "1/0", True, 0.5, None,
+                                 "1e3", "1.5"])
 def test_parse_value_rejects_garbage(bad):
     with pytest.raises(mf.ValidationError):
         mf.parse_value(bad)

@@ -1,6 +1,9 @@
 """Threshold selection and the end-to-end solver."""
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +170,81 @@ def test_capacity_error_propagates():
         mf.approx_mms(inst, mf.alpha_for(2))
     report = mf.approx_mms(inst, mf.alpha_for(2), max_goods=21)
     assert report.allocation.complete
+
+
+def test_solve_never_searches_the_same_share_twice(monkeypatch):
+    from mmsfair import oracle
+
+    search = oracle.mms
+    keys = []
+
+    def recording_mms(valuation, parts, good_set, **kwargs):
+        if kwargs.get("certificate") is None:
+            keys.append((parts, tuple(sorted(valuation[g] for g in good_set))))
+        return search(valuation, parts, good_set, **kwargs)
+
+    monkeypatch.setattr(oracle, "mms", recording_mms)
+    rng = random.Random(2024)
+    for seed in range(50):
+        n = rng.randint(2, 4)
+        m = rng.randint(n, 10)
+        inst = random_instance(seed, n, m, bound=30)
+        keys.clear()
+        mf.approx_mms(inst, mf.alpha_for(n))
+        repeated = {k for k in keys if keys.count(k) > 1}
+        assert not repeated, (seed, n, m, sorted(repeated))
+
+
+GOLDEN_SOLVES = Path(__file__).parent / "data" / "golden_solves.json"
+
+
+def golden_solve_instances() -> dict:
+    """The frozen solve inputs, one per path through approx_mms."""
+    from helpers import dummy_survives_to_bagfill_instance, rule4_dummy_instance
+
+    rows = random_instance(5, 2, 8, bound=30).valuations
+    peeled = mf.make_instance(3, [f"g{j}" for j in range(1, 9)],
+                              {0: {f"g{j}": 0 for j in range(1, 9)},
+                               1: rows[0], 2: rows[1]})
+    return {
+        "peeled-agent": peeled,
+        "all-peeled": mf.make_instance(3, ["g1", "g2", "g3", "g4"],
+                                       {a: {f"g{j}": 0 for j in range(1, 5)}
+                                        for a in range(3)}),
+        "one-agent": mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}}),
+        "r4-dummy-to-bagfill": dummy_survives_to_bagfill_instance(),
+        "r4-only": rule4_dummy_instance(),
+        "bagfill-n3": random_instance(4, 3, 12, bound=80, min_value=1),
+        "single-survivor-n2": random_instance(0, 2, 8, bound=30),
+        "tight-n3": mf.gen_tight_example(3),
+        "random-n3": random_instance(10, 3, 11, bound=30),
+        "random-n4": random_instance(4, 4, 14, bound=30),
+    }
+
+
+def golden_solve_doc(inst: mf.Instance) -> dict:
+    """Report, reduction log (with pre_mms) and bag-fill events of one solve."""
+    report = mf.approx_mms(inst, mf.alpha_for(inst.n))
+    return {
+        "instance": mf.instance_to_json(inst),
+        "report": report.to_json(inst),
+        "reductions": report.reduction_log.to_json(),
+        "bagfill": None if report.bagfill is None
+        else [e.to_json() for e in report.bagfill.trace],
+    }
+
+
+def test_solves_match_golden_file():
+    with open(GOLDEN_SOLVES, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert set(golden) == set(golden_solve_instances())
+    for name, expected in golden.items():
+        inst = mf.instance_from_json(expected["instance"])
+        assert golden_solve_doc(inst) == expected, name
+
+
+if __name__ == "__main__":
+    # Regenerates the frozen file; only do so when a solve is meant to change.
+    docs = {name: golden_solve_doc(inst)
+            for name, inst in golden_solve_instances().items()}
+    GOLDEN_SOLVES.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")

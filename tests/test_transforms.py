@@ -123,7 +123,7 @@ def test_normalize_two_agent_example():
     inst = mf.make_instance(2, ["g1", "g2", "g3", "g4"],
                             {a: {"g1": 4, "g2": 3, "g3": 2, "g4": 1}
                              for a in range(2)})
-    norm = mf.normalize(inst)
+    norm = mf.normalize(inst, mf.instance_mms_all(inst))
     row = norm.valuations[0]
     assert [row[g] for g in norm.goods] == \
         [Fraction(4, 5), Fraction(3, 5), Fraction(2, 5), Fraction(1, 5)]
@@ -131,21 +131,21 @@ def test_normalize_two_agent_example():
 
 def test_normalize_single_agent():
     inst = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 3, "g2": 5}})
-    norm = mf.normalize(inst)
+    norm = mf.normalize(inst, mf.instance_mms_all(inst))
     assert norm.valuations[0]["g1"] == Fraction(3, 8)
     assert norm.valuations[0]["g2"] == Fraction(5, 8)
 
 
 def test_normalize_tight_example_is_identity():
     inst = mf.gen_tight_example(3)
-    norm = mf.normalize(inst)
+    norm = mf.normalize(inst, mf.instance_mms_all(inst))
     assert norm.valuations == inst.valuations
 
 
 def test_normalize_pins_every_share_to_one():
     for seed in range(10):
         inst = random_instance(seed, 3, 7, bound=9, min_value=1)
-        norm = mf.normalize(inst)
+        norm = mf.normalize(inst, mf.instance_mms_all(inst))
         for a in norm.agents:
             # independent recomputation, certificates stripped
             bare = mf.Instance(agents=norm.agents, goods=norm.goods,
@@ -159,7 +159,7 @@ def test_normalize_never_raises_value_to_share_ratio():
     for seed in range(10):
         inst = random_instance(seed, 2, 6, bound=9, min_value=1)
         shares = mf.instance_mms_values(inst)
-        norm = mf.normalize(inst)
+        norm = mf.normalize(inst, mf.instance_mms_all(inst))
         for _ in range(5):
             alloc = random_complete_allocation(rng, inst)
             for a in inst.agents:
@@ -171,7 +171,7 @@ def test_normalize_rejects_zero_share_agents():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
     with pytest.raises(mf.ContractError):
-        mf.normalize(inst)
+        mf.normalize(inst, mf.instance_mms_all(inst))
 
 
 # --- reduction rules --------------------------------------------------------
@@ -292,7 +292,7 @@ def test_apply_reduction_rejects_wrong_agent():
 
 def test_reduce_tight_example_starts_with_rule2():
     inst = mf.gen_tight_example(3)
-    log = mf.reduce(inst, ALPHA34)
+    log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
     assert log.records[0].rule == "R2"
     assert log.records[0].agent == 0
     assert log.records[0].removed_goods == frozenset({"g3", "g4"})
@@ -301,13 +301,13 @@ def test_reduce_tight_example_starts_with_rule2():
 def test_reduce_requires_ordered_input():
     inst = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
     with pytest.raises(mf.ContractError):
-        mf.reduce(inst, ALPHA34)
+        mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
 
 
 def test_reduce_rejects_alpha_beyond_limit():
     inst = mf.gen_tight_example(3)
     with pytest.raises(mf.ContractError):
-        mf.reduce(inst, mf.alpha_limit(3) + Fraction(1, 1000))
+        mf.reduce(inst, mf.alpha_limit(3) + Fraction(1, 1000), mf.instance_mms_all(inst))
 
 
 def test_reduce_fixpoint_on_irreducible_instance():
@@ -315,7 +315,7 @@ def test_reduce_fixpoint_on_irreducible_instance():
                            mf.alpha_for(3))
     oni = report.irreducible_instance
     assert oni is not None
-    again = mf.reduce(oni, report.alpha.alpha)
+    again = mf.reduce(oni, report.alpha.alpha, mf.instance_mms_all(oni))
     assert again.records == ()
     assert again.final == oni
 
@@ -324,7 +324,7 @@ def test_reduce_log_shorter_than_agent_count_and_replayable():
     for seed in range(12):
         inst = random_instance(seed, 4, 9, bound=25)
         ordered, _ = mf.to_ordered(inst)
-        log = mf.reduce(ordered, ALPHA34)
+        log = mf.reduce(ordered, ALPHA34, mf.instance_mms_all(ordered))
         assert len(log.records) < ordered.n
         replayed = mf.replay_log(log)
         assert replayed[-1] == log.final
@@ -345,7 +345,7 @@ def test_lift_reductions_reinstates_rule1_agent():
     inst = mf.make_instance(2, ["g1", "g2", "g3", "g4"],
                             {a: {"g1": 10, "g2": 1, "g3": 1, "g4": 1}
                              for a in range(2)})
-    log = mf.reduce(inst, ALPHA34)
+    log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
     assert [r.rule for r in log.records] == ["R1"]
     sub = mf.Allocation({1: frozenset(log.final.goods)}, complete=True)
     lifted = mf.lift_reductions(log, sub)
@@ -357,7 +357,7 @@ def test_lift_reductions_reinstates_rule1_agent():
 def test_lift_reductions_full_chain_single_survivor():
     inst = mf.gen_tight_example(4)
     ordered, _ = mf.to_ordered(inst)
-    log = mf.reduce(ordered, mf.alpha_limit(4))
+    log = mf.reduce(ordered, mf.alpha_limit(4), mf.instance_mms_all(ordered))
     if log.final.n == 1:
         survivor = log.final.agents[0]
         sub = mf.Allocation({survivor: frozenset(log.final.goods)}, complete=True)
@@ -371,7 +371,7 @@ def test_lift_reductions_rejects_mismatched_agents():
     inst = mf.make_instance(2, ["g1", "g2", "g3", "g4"],
                             {a: {"g1": 10, "g2": 1, "g3": 1, "g4": 1}
                              for a in range(2)})
-    log = mf.reduce(inst, ALPHA34)
+    log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
     bad = mf.Allocation({0: frozenset(log.final.goods)}, complete=True)
     with pytest.raises(mf.ContractError):
         mf.lift_reductions(log, bad)
