@@ -133,6 +133,8 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.suite != "random":
         raise ValidationError(f"unknown suite {args.suite!r}")
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
     specs = []
     i = 0
     while len(specs) < args.count:
@@ -234,6 +236,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_goods", 0) < 0:  # gen has no --max-goods
+            raise ValidationError(f"--max-goods must be at least 0, got {args.max_goods}")
         return args.func(args)
     except (ValidationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,10 @@ capacity limit that errors instead of approximating.
 Two independent routes are provided:
 
 * ``mms``       -- the production search: values are scaled to integers,
-                   the answer is found by binary search over the integer
-                   answer range, and each feasibility probe is a complete
+                   the answer is found by climbing from a greedy floor
+                   (each probe asks for one more than the best minimum cell
+                   found so far, so only the probe that proves the optimum
+                   fails), and each feasibility probe is a complete
                    depth-first packing with symmetry pruning and a per-call
                    transposition table.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
@@ -136,7 +138,15 @@ def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int):
 
 
 def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
-    """Exact maximin over integer weights: (value, cells as index lists)."""
+    """Exact maximin over integer weights: (value, cells as index lists).
+
+    Climbs from the LPT floor: each probe asks for one more than the best
+    minimum cell witnessed so far, and a successful packing lifts that
+    floor to its own minimum cell (dumped items counted in cell 0, as the
+    witness builds it).  Feasibility is monotone in the threshold, so the
+    first failed probe, or reaching total // parts, proves the floor
+    optimal.  The witness is always ``_pack`` at the optimum itself.
+    """
     m = len(weights)
     if parts == 1:
         return sum(weights), [list(range(m))]
@@ -159,15 +169,17 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
 
     lo = _lpt_floor(desc, parts)
     hi = suffix[0] // parts
-    packing = None  # the packing at lo, once a probe has succeeded
+    tau, packing = None, None  # threshold and packing of the last success
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        probe = _pack(desc, suffix, parts, mid)
+        probe = _pack(desc, suffix, parts, lo + 1)
         if probe is None:
-            hi = mid - 1
-        else:
-            lo, packing = mid, probe
-    if packing is None:  # the LPT floor was already optimal
+            break
+        tau, packing = lo + 1, probe
+        owners, dumped = probe
+        sums = [sum(desc[i] for i in owner) for owner in owners]
+        sums[0] += sum(desc[i] for i in dumped)
+        lo = min(sums)
+    if tau != lo:  # the witness is always the packing probed at the optimum
         packing = _pack(desc, suffix, parts, lo)
     owners, dumped = packing
     cells = [[positive[i] for i in owner] for owner in owners]

@@ -185,3 +185,17 @@ def test_bench_rejects_unknown_suite(capsys):
     code, _, _ = _run(capsys, "bench", "--suite", "exotic",
                       "--count", "1", "--seed", "1")
     assert code == 2
+
+
+def test_negative_limits_exit_2_naming_the_flag(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    _run(capsys, "gen", "tight", "--n", "3", "--output", str(inst_file))
+    for command in ("solve", "mms"):
+        code, out, err = _run(capsys, command, "--input", str(inst_file),
+                              "--max-goods", "-1")
+        assert code == 2 and out == "", (command, err)
+        assert err.startswith("error") and "--max-goods" in err, (command, err)
+    for count in ("-3", "0"):
+        code, out, err = _run(capsys, "bench", "--count", count, "--seed", "1")
+        assert code == 2 and out == "", (count, err)
+        assert err.startswith("error") and "--count" in err, (count, err)

@@ -1,9 +1,12 @@
 """MMS oracle: frozen examples, cross-oracle checks, invariants, capacity."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 from mmsfair import oracle
@@ -205,3 +208,128 @@ def test_max_min_partition_probes_each_threshold_once(monkeypatch):
     assert r.value == 6
     _check_witness(vals, 2, r)
     assert thresholds == [6]
+
+
+def _witness_at(weights, parts, tau):
+    """Cells of _pack at tau, built as _max_min_partition builds its witness."""
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    positive = [i for i in order if weights[i] > 0]
+    desc = [weights[i] for i in positive]
+    suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
+    owners, dumped = oracle._pack(desc, suffix, parts, tau)
+    cells = [[positive[i] for i in owner] for owner in owners]
+    cells[0].extend(positive[i] for i in dumped)
+    cells[0].extend(i for i in order if weights[i] == 0)
+    return cells
+
+
+def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
+    # lcm-scaled rationals make an answer range about 1e10 wide; the climb
+    # raises its floor to each packing's own minimum cell, so only the probe
+    # just above the optimum fails.
+    probes = []
+    real_pack = oracle._pack
+
+    def recording_pack(weights, suffix, parts, tau):
+        packing = real_pack(weights, suffix, parts, tau)
+        probes.append((tau, packing is not None))
+        return packing
+
+    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    rng = random.Random(53)
+    for _ in range(20):
+        values = [Fraction(rng.randint(1, 100), rng.randint(1, 100))
+                  for _ in range(rng.randint(7, 11))]
+        parts = rng.randint(3, 4)
+        weights, _ = oracle._scaled(values)
+        probes.clear()
+        value, cells = oracle._max_min_partition(weights, parts)
+
+        taus = [tau for tau, _ in probes]
+        if len(taus) > 1 and taus[-1] == value and taus[-1] <= taus[-2]:
+            taus.pop()  # the one re-probe at the optimum
+        assert all(a < b for a, b in zip(taus, taus[1:])), probes
+        failed = [tau for tau, ok in probes if not ok]
+        assert failed in ([], [value + 1]), (value, probes)
+        assert all(tau <= value for tau, ok in probes if ok), (value, probes)
+        assert cells == _witness_at(weights, parts, value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(Fraction, st.integers(0, 1000), st.integers(1, 1000)),
+                min_size=1, max_size=8),
+       st.integers(2, 4))
+def test_mms_matches_naive_on_wide_rationals(values, parts):
+    vals = _vals(values)
+    fast = mf.mms(vals, parts, list(vals))
+    assert fast.value == mf.mms_naive(vals, parts, list(vals)).value
+    _check_witness(vals, parts, fast)
+
+
+GOLDEN_MMS = Path(__file__).parent / "data" / "golden_mms.json"
+
+# Seeds per value distribution.  Near-equal ("correlated") goods are the
+# hardest case for the search, so their seeds are ones whose search took
+# under 0.1 s when the file was frozen.
+GOLDEN_MMS_SEEDS = {
+    "int": (0, 1, 2, 3, 5),
+    "rational": (0, 6, 7, 8, 9),
+    "correlated": (20, 29, 30, 31, 34),
+    "pow2": (0, 1, 2, 3, 4),
+    "few-valued": (0, 1, 2, 3, 4),
+    "identical": (0, 1, 2, 3, 4),
+}
+
+
+def golden_mms_case(kind: str, seed: int) -> tuple:
+    """(parts, values) of one seeded case: 11-18 goods, 5-8 parts."""
+    rng = random.Random(f"{kind}-{seed}")
+    m = rng.randint(11, 18)
+    parts = rng.randint(5, 8)
+    if kind == "int":
+        values = [rng.randint(0, 1000) for _ in range(m)]
+    elif kind == "rational":
+        values = [Fraction(rng.randint(1, 100), rng.randint(1, 50)) for _ in range(m)]
+    elif kind == "correlated":  # every good within 10% of one common size
+        base = rng.randint(100, 1000)
+        values = [base + rng.randint(-base // 10, base // 10) for _ in range(m)]
+    elif kind == "pow2":
+        values = [2 ** rng.randint(0, 10) for _ in range(m)]
+    elif kind == "few-valued":
+        levels = rng.sample(range(1, 60), 3)
+        values = [rng.choice(levels) for _ in range(m)]
+    else:  # identical
+        values = [rng.randint(1, 50)] * m
+    return parts, [Fraction(v) for v in values]
+
+
+def golden_mms_doc(parts: int, values: list) -> dict:
+    vals = _vals(values)
+    r = mf.mms(vals, parts, list(vals))
+    return {
+        "parts": parts,
+        "values": [mf.format_value(v) for v in values],
+        "mms": mf.format_value(r.value),
+        "partition": [sorted(cell, key=lambda g: int(g[1:])) for cell in r.partition],
+    }
+
+
+def test_mms_matches_golden_file():
+    with open(GOLDEN_MMS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert set(golden) == {f"{kind}-{seed}" for kind, seeds in GOLDEN_MMS_SEEDS.items()
+                           for seed in seeds}
+    for name, expected in golden.items():
+        values = [mf.parse_value(v) for v in expected["values"]]
+        assert golden_mms_doc(expected["parts"], values) == expected, name
+        vals = _vals(values)
+        frozen = mf.MmsResult(value=mf.parse_value(expected["mms"]),
+                              partition=tuple(frozenset(c) for c in expected["partition"]))
+        _check_witness(vals, expected["parts"], frozen)
+
+
+if __name__ == "__main__":
+    # Regenerates the frozen file; only do so when a share is meant to change.
+    docs = {f"{kind}-{seed}": golden_mms_doc(*golden_mms_case(kind, seed))
+            for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds}
+    GOLDEN_MMS.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
