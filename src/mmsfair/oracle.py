@@ -13,8 +13,10 @@ Two independent routes are provided:
                    (each probe asks for one more than the best minimum cell
                    found so far, so only the probe that proves the optimum
                    fails), and each feasibility probe is a complete
-                   depth-first packing with symmetry pruning and a per-call
-                   transposition table.
+                   depth-first packing with symmetry pruning, a per-call
+                   transposition table and an item-count bound (each open
+                   cell needs at least as many items as the largest
+                   remaining ones take to fill it).
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -28,6 +30,7 @@ Scoring an allocation against these shares is ``harness.verify``'s job.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -89,50 +92,65 @@ def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int):
     (cells as lists of item indices, dumped item indices) or None.
     Dumped items were placed after every cell had already reached tau,
     so they may later be appended to any cell.
+
+    The return value is the first success of a fixed branch order: the
+    item goes to the open cells by descending sum, ties to the lower
+    index, one cell per distinct sum.  Every cut only rejects states from
+    which no packing exists, so it never changes which packing is found
+    first, and the packing at the optimum is the witness: a new cut must
+    keep both properties.  One such cut drops the branch that dumps an
+    item while a cell is still open: a packing that dumps it can swap it
+    with a later, no larger item of an open cell, so an earlier branch
+    would already have found a packing.
     """
     m = len(weights)
+    prefix = [0] * (m + 1)
+    for i, w in enumerate(weights):
+        prefix[i + 1] = prefix[i] + w
     cells = [0] * parts
     owners = [[] for _ in range(parts)]
     dumped = []
-    # Failed (item index, clipped cell sums) states.  Cells at or above tau
-    # are interchangeable, so their sums are clipped to tau in the key.
+    # Failed (item index, open cell sums) states.  Cells at or above tau are
+    # interchangeable, so only the open sums are keyed.
     seen = set()
 
-    def rec(i: int) -> bool:
-        deficit = 0
-        for c in cells:
-            if c < tau:
-                deficit += tau - c
+    def rec(i: int, deficit: int, full: int) -> bool:
         if deficit == 0:
             dumped.extend(range(i, m))
             return True
-        if i == m or suffix[i] < deficit:
+        left = m - i
+        if left < parts - full or suffix[i] < deficit:
             return False
-        key = (i, tuple(sorted(c if c < tau else tau for c in cells)))
+        opens = sorted([c for c in cells if c < tau], reverse=True)
+        key = (i, *opens)
         if key in seen:
             return False
+        # Item-count bound: a cell short by d needs at least as many items
+        # as the largest remaining ones take to reach d.
+        need = -i * len(opens)
+        base = prefix[i] + tau
+        for s in opens:
+            need += bisect_left(prefix, base - s, i)
+        if need > left:
+            seen.add(key)
+            return False
         w = weights[i]
-        tried = set()
-        for j in sorted(range(parts), key=lambda j: (-cells[j], j)):
-            s = cells[j]
-            if s >= tau or s in tried:
+        last = -1
+        for s in opens:
+            if s == last:
                 continue
-            tried.add(s)
+            last = s
+            j = cells.index(s)  # the lowest-indexed cell with this sum
             cells[j] = s + w
             owners[j].append(i)
-            if rec(i + 1):
+            if rec(i + 1, deficit - min(w, tau - s), full + (s + w >= tau)):
                 return True
             cells[j] = s
             owners[j].pop()
-        if any(c >= tau for c in cells):
-            dumped.append(i)
-            if rec(i + 1):
-                return True
-            dumped.pop()
         seen.add(key)
         return False
 
-    if rec(0):
+    if rec(0, max(tau, 0) * parts, 0):
         return owners, dumped
     return None
 
@@ -189,6 +207,8 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
 
 
 def _check_capacity(count: int, parts: int, max_goods: int) -> None:
+    if max_goods < 0:
+        raise ValidationError(f"max_goods must be at least 0, got {max_goods}")
     if count > max_goods or parts > MAX_PARTS:
         raise CapacityError(
             f"exact MMS search over {count} goods / {parts} parts exceeds the "
