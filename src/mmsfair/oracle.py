@@ -9,14 +9,18 @@ capacity limit that errors instead of approximating.
 Two independent routes are provided:
 
 * ``mms``       -- the production search: values are scaled to integers,
-                   the answer is found by climbing from a greedy floor
-                   (each probe asks for one more than the best minimum cell
-                   found so far, so only the probe that proves the optimum
-                   fails), and each feasibility probe is a complete
-                   depth-first packing with symmetry pruning, a per-call
-                   transposition table and an item-count bound (each open
-                   cell needs at least as many items as the largest
-                   remaining ones take to fill it).
+                   and the answer is found by climbing from a local-search
+                   floor (the greedy LPT packing, improved by moving or
+                   swapping items out of its emptiest cell).  Thresholds
+                   never fall: each probe asks for the best minimum cell
+                   witnessed so far, or one more once a probe there has
+                   succeeded, so only the probe that proves the optimum
+                   fails and the last success is the witness.  Each
+                   feasibility probe is a complete depth-first packing with
+                   symmetry pruning, an item-count bound (each open cell
+                   needs at least as many items as the largest remaining
+                   ones take to fill it) and a table of failed states that
+                   every probe of one search shares.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -76,22 +80,73 @@ def _scaled(values: Sequence[Fraction]) -> tuple:
     return [int(v * denom) for v in values], denom
 
 
-def _lpt_floor(weights: Sequence[int], parts: int) -> int:
-    """Greedy longest-processing-time bound: a feasible min-cell sum."""
+def _lpt_cells(weights: Sequence[int], parts: int) -> list:
+    """Greedy longest-processing-time packing: each weight, in the given
+    order, joins the emptiest cell (ties to the lower index)."""
+    cells = [[] for _ in range(parts)]
     sums = [0] * parts
     for w in weights:
-        j = min(range(parts), key=lambda j: (sums[j], j))
+        j = sums.index(min(sums))
+        cells[j].append(w)
         sums[j] += w
-    return min(sums)
+    return cells
 
 
-def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int):
+def _raise_min(cells: list, cap: int) -> int:
+    """Raise a packing's minimum cell sum by local search; returns it.
+
+    ``cells`` are lists of positive weights and are rearranged in place.
+    Each step moves one item, or swaps two, between the emptiest cell and
+    another cell, taking the move that most raises the pair's smaller sum.
+    It stops when no move raises it, or when the minimum reaches ``cap``
+    (total // parts, which no packing exceeds).
+    """
+    sums = [sum(cell) for cell in cells]
+    while True:
+        low = min(sums)
+        if low >= cap:
+            return low
+        a = sums.index(low)
+        mine = (0, *cells[a])  # 0: move an item without swapping one back
+        best, move = low, None
+        for b, other in enumerate(cells):
+            gap = sums[b] - low
+            if low + gap // 2 <= best:  # no move here can beat the best one
+                continue
+            for y in other:
+                for x in mine:
+                    d = y - x
+                    if 0 < d < gap:
+                        pair = low + min(d, gap - d)
+                        if pair > best:
+                            best, move = pair, (b, y, x)
+        if move is None:
+            return low
+        b, y, x = move
+        cells[b].remove(y)
+        cells[a].append(y)
+        if x:
+            cells[a].remove(x)
+            cells[b].append(x)
+        sums[a] += y - x
+        sums[b] -= y - x
+
+
+def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int,
+          seen: set | None = None):
     """Split every item into ``parts`` cells, each cell summing to >= tau.
 
     ``weights`` must be positive and non-increasing.  Returns
     (cells as lists of item indices, dumped item indices) or None.
     Dumped items were placed after every cell had already reached tau,
     so they may later be appended to any cell.
+
+    ``seen`` is the set of failed states, filled in place (default: a
+    fresh set).  A key holds only open sums, all below tau, and a state
+    with no packing at tau has none at any higher threshold, so one set
+    may be shared by probes of the same weights and parts whose thresholds
+    never fall.  It only prunes states with no packing, so it never changes the
+    return value.  A set shared across a falling threshold is unsound.
 
     The return value is the first success of a fixed branch order: the
     item goes to the open cells by descending sum, ties to the lower
@@ -112,7 +167,8 @@ def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int):
     dumped = []
     # Failed (item index, open cell sums) states.  Cells at or above tau are
     # interchangeable, so only the open sums are keyed.
-    seen = set()
+    if seen is None:
+        seen = set()
 
     def rec(i: int, deficit: int, full: int) -> bool:
         if deficit == 0:
@@ -158,12 +214,16 @@ def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int):
 def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
     """Exact maximin over integer weights: (value, cells as index lists).
 
-    Climbs from the LPT floor: each probe asks for one more than the best
-    minimum cell witnessed so far, and a successful packing lifts that
-    floor to its own minimum cell (dumped items counted in cell 0, as the
-    witness builds it).  Feasibility is monotone in the threshold, so the
-    first failed probe, or reaching total // parts, proves the floor
-    optimal.  The witness is always ``_pack`` at the optimum itself.
+    Climbs from a local-search floor (the LPT packing improved by
+    ``_raise_min``) and never lowers its threshold: it probes ``_pack`` at
+    the floor itself, then at the successful packing's own minimum cell
+    when that is higher (dumped items counted in cell 0, as the witness
+    builds it), otherwise one above it.  Feasibility is monotone in the
+    threshold, so the first failed probe, or a success at total // parts,
+    proves the last successful threshold optimal, and its packing is the
+    witness: ``_pack`` at the optimum itself.  Every probe of one search
+    shares one failed-state memo, which is sound because the thresholds
+    never fall.
     """
     m = len(weights)
     if parts == 1:
@@ -185,20 +245,18 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
     for i in range(len(desc) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + desc[i]
 
-    lo = _lpt_floor(desc, parts)
     hi = suffix[0] // parts
-    tau, packing = None, None  # threshold and packing of the last success
-    while lo < hi:
-        probe = _pack(desc, suffix, parts, lo + 1)
+    tau = _raise_min(_lpt_cells(desc, parts), hi)
+    seen = set()
+    while tau <= hi:
+        probe = _pack(desc, suffix, parts, tau, seen)
         if probe is None:
             break
-        tau, packing = lo + 1, probe
+        lo, packing = tau, probe
         owners, dumped = probe
         sums = [sum(desc[i] for i in owner) for owner in owners]
         sums[0] += sum(desc[i] for i in dumped)
-        lo = min(sums)
-    if tau != lo:  # the witness is always the packing probed at the optimum
-        packing = _pack(desc, suffix, parts, lo)
+        tau = max(min(sums), tau + 1)
     owners, dumped = packing
     cells = [[positive[i] for i in owner] for owner in owners]
     cells[0].extend(positive[i] for i in dumped)

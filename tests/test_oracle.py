@@ -195,14 +195,15 @@ def test_mms_score_requires_complete_allocation():
 
 
 def test_max_min_partition_probes_each_threshold_once(monkeypatch):
-    # LPT packs [3, 3, 2, 2, 2] into 5 | 7; the optimum 6 | 6 is found by
-    # one successful probe at 6, whose packing is the one returned.
+    # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
+    # the optimum 6 | 6, which is total // parts: one successful probe at 6,
+    # whose packing is the one returned.
     thresholds = []
     real_pack = oracle._pack
 
-    def recording_pack(weights, suffix, parts, tau):
+    def recording_pack(weights, suffix, parts, tau, seen=None):
         thresholds.append(tau)
-        return real_pack(weights, suffix, parts, tau)
+        return real_pack(weights, suffix, parts, tau, seen)
 
     monkeypatch.setattr(oracle, "_pack", recording_pack)
     vals = _vals([3, 3, 2, 2, 2])
@@ -228,13 +229,15 @@ def _witness_at(weights, parts, tau):
 def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # lcm-scaled rationals make an answer range about 1e10 wide; the climb
     # raises its floor to each packing's own minimum cell, so only the probe
-    # just above the optimum fails.
+    # just above the optimum fails, and the last success is the witness.
     probes = []
+    memos = []
     real_pack = oracle._pack
 
-    def recording_pack(weights, suffix, parts, tau):
-        packing = real_pack(weights, suffix, parts, tau)
+    def recording_pack(weights, suffix, parts, tau, seen=None):
+        packing = real_pack(weights, suffix, parts, tau, seen)
         probes.append((tau, packing is not None))
+        memos.append(seen)
         return packing
 
     monkeypatch.setattr(oracle, "_pack", recording_pack)
@@ -245,15 +248,15 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         parts = rng.randint(3, 4)
         weights, _ = oracle._scaled(values)
         probes.clear()
+        memos.clear()
         value, cells = oracle._max_min_partition(weights, parts)
 
         taus = [tau for tau, _ in probes]
-        if len(taus) > 1 and taus[-1] == value and taus[-1] <= taus[-2]:
-            taus.pop()  # the one re-probe at the optimum
         assert all(a < b for a, b in zip(taus, taus[1:])), probes
+        assert memos[0] is not None and all(seen is memos[0] for seen in memos)
+        assert [tau for tau, ok in probes if ok][-1] == value, (value, probes)
         failed = [tau for tau, ok in probes if not ok]
         assert failed in ([], [value + 1]), (value, probes)
-        assert all(tau <= value for tau, ok in probes if ok), (value, probes)
         assert cells == _witness_at(weights, parts, value)
 
 
@@ -311,22 +314,44 @@ def _reference_pack(weights, suffix, parts, tau):
     return None
 
 
-def _assert_pack_matches_reference(desc, parts, tau):
+def _assert_pack_matches_reference(desc, parts, tau, seen=None):
+    """``_pack`` with a fresh memo, or with ``seen`` when one is given,
+    returns what the reference returns with a fresh memo."""
     suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
-    assert oracle._pack(desc, suffix, parts, tau) == \
+    assert oracle._pack(desc, suffix, parts, tau, seen) == \
         _reference_pack(desc, suffix, parts, tau), (desc, parts, tau)
 
 
+# Golden cases cheap enough for the reference at every threshold.
+REFERENCE_CASES = (("int", 0), ("int", 3), ("correlated", 30),
+                   ("correlated", 31), ("pow2", 3), ("few-valued", 4))
+
+
+def _lpt_thresholds(kind, seed):
+    """(desc, parts, every threshold from the LPT floor, which is below the
+    climb's local-search floor, to the first one past total // parts)."""
+    parts, values = golden_mms_case(kind, seed)
+    weights, _ = oracle._scaled(values)
+    desc = sorted((w for w in weights if w > 0), reverse=True)
+    floor = min(map(sum, oracle._lpt_cells(desc, parts)))
+    return desc, parts, range(floor, sum(desc) // parts + 2)
+
+
 def test_pack_matches_reference_at_every_threshold():
-    # Every threshold a climb can probe, from the LPT floor to the first one
-    # past total // parts, on golden cases cheap enough for the reference.
-    for kind, seed in (("int", 0), ("int", 3), ("correlated", 30),
-                       ("correlated", 31), ("pow2", 3), ("few-valued", 4)):
-        parts, values = golden_mms_case(kind, seed)
-        weights, _ = oracle._scaled(values)
-        desc = sorted((w for w in weights if w > 0), reverse=True)
-        for tau in range(oracle._lpt_floor(desc, parts), sum(desc) // parts + 2):
+    for kind, seed in REFERENCE_CASES:
+        desc, parts, taus = _lpt_thresholds(kind, seed)
+        for tau in taus:
             _assert_pack_matches_reference(desc, parts, tau)
+
+
+def test_pack_with_one_memo_over_rising_thresholds_matches_reference():
+    # A climb shares one failed-state memo across its probes; sharing it
+    # must not change any probe's return value.
+    for kind, seed in REFERENCE_CASES:
+        desc, parts, taus = _lpt_thresholds(kind, seed)
+        seen = set()
+        for tau in taus:
+            _assert_pack_matches_reference(desc, parts, tau, seen)
 
 
 @st.composite
@@ -347,6 +372,44 @@ def _pack_inputs(draw):
 @given(_pack_inputs())
 def test_pack_matches_reference_on_any_input(inputs):
     _assert_pack_matches_reference(*inputs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pack_inputs(), st.data())
+def test_pack_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
+    desc, parts, tau = inputs
+    t1 = data.draw(st.integers(1, tau), label="t1")
+    suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
+    seen = set()
+    oracle._pack(desc, suffix, parts, t1, seen)
+    _assert_pack_matches_reference(desc, parts, tau, seen)
+
+
+def test_raise_min_hand_cases():
+    cells = oracle._lpt_cells([3, 3, 2, 2, 2], 2)
+    assert cells == [[3, 2, 2], [3, 2]]  # LPT: 7 | 5
+    assert oracle._raise_min(cells, 6) == 6
+    assert sorted(map(sum, cells)) == [6, 6]
+    # A minimum at total // parts ends the search: no packing beats it, so
+    # the swap of 3 and 4 that would raise the first and last cells'
+    # smaller sum to 4 is not made.
+    cells = [[3], [3], [4, 1]]
+    assert oracle._raise_min(cells, 11 // 3) == 3
+    assert cells == [[3], [3], [4, 1]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=8), st.integers(2, 4))
+def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
+    desc = sorted(weights, reverse=True)
+    cells = oracle._lpt_cells(desc, parts)
+    lpt = min(map(sum, cells))
+    low = oracle._raise_min(cells, sum(desc) // parts)
+    assert len(cells) == parts
+    assert sorted(w for cell in cells for w in cell) == sorted(desc)
+    assert min(map(sum, cells)) == low
+    vals = _vals(desc)
+    assert lpt <= low <= mf.mms_naive(vals, parts, list(vals)).value
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
