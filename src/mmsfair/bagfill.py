@@ -104,21 +104,18 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
                 sums[a][k - 1] += instance.value(a, g)
             trace.append(TraceEvent("fill", g, k, None, None))
         else:
-            state = BagState(bags=tuple(frozenset(b) for b in bags),
-                             unassigned_goods=tuple(spare[spare_at:]),
-                             unsatisfied_agents=tuple(unsatisfied),
-                             unassigned_bags=tuple(open_bags),
-                             assignments=dict(assignments))
-            return BagFillRun(allocation=None, state=state, trace=tuple(trace))
+            break
 
-    bundles = {a: frozenset(bags[assignments[a] - 1]) for a in instance.agents}
-    allocation = Allocation(bundles=bundles, complete=False)
-    validate_allocation(instance, allocation)
     state = BagState(bags=tuple(frozenset(b) for b in bags),
                      unassigned_goods=tuple(spare[spare_at:]),
-                     unsatisfied_agents=(),
-                     unassigned_bags=(),
-                     assignments=dict(assignments))
+                     unsatisfied_agents=tuple(unsatisfied),
+                     unassigned_bags=tuple(open_bags),
+                     assignments=assignments)
+    allocation = None
+    if not unsatisfied:
+        bundles = {a: frozenset(bags[assignments[a] - 1]) for a in instance.agents}
+        allocation = Allocation(bundles=bundles, complete=False)
+        validate_allocation(instance, allocation)
     return BagFillRun(allocation=allocation, state=state, trace=tuple(trace))
 
 

@@ -18,7 +18,6 @@ import json
 import sys
 from typing import Optional
 
-from .bagfill import BagFillRun
 from .core import (
     allocation_from_json,
     format_value,
@@ -35,7 +34,6 @@ from .errors import (
 from .harness import GeneratorSpec, gen_random, gen_tight_example, verify
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
 from .pipeline import alpha_for, approx_mms
-from .transforms import ReductionLog
 
 
 def _read_json(path: str) -> dict:
@@ -59,22 +57,11 @@ def _load_instance(path: str):
     return instance_from_json(_read_json(path))
 
 
-def _trace_doc(report) -> dict:
+def _trace_doc(log, bag_run) -> dict:
     return {
-        "reductions": report.reduction_log.to_json(),
-        "bagfill": [] if report.bagfill is None
-        else [e.to_json() for e in report.bagfill.trace],
+        "reductions": log.to_json(),
+        "bagfill": [] if bag_run is None else [e.to_json() for e in bag_run.trace],
     }
-
-
-def _payload_doc(payload) -> object:
-    if isinstance(payload, ReductionLog):
-        return {"reductions": payload.to_json()}
-    if isinstance(payload, BagFillRun):
-        return {"bagfill": [e.to_json() for e in payload.trace]}
-    if isinstance(payload, (tuple, list)):
-        return [_payload_doc(p) for p in payload if p is not None]
-    return repr(payload)
 
 
 def _add_capacity_args(parser) -> None:
@@ -88,7 +75,7 @@ def _cmd_solve(args) -> int:
     report = approx_mms(instance, choice, max_goods=args.max_goods)
     _write_json(report.to_json(instance), args.output)
     if args.trace:
-        _write_json(_trace_doc(report), args.trace)
+        _write_json(_trace_doc(report.reduction_log, report.bagfill), args.trace)
     return 0
 
 
@@ -135,21 +122,15 @@ def _cmd_bench(args) -> int:
         raise ValidationError(f"unknown suite {args.suite!r}")
     if args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
-    specs = []
-    i = 0
-    while len(specs) < args.count:
-        for n in (2, 3, 4):
-            for m in range(n, 13):
-                if len(specs) >= args.count:
-                    break
-                specs.append(GeneratorSpec(kind="uniform-int", n=n, m=m,
-                                           value_bound=100, seed=args.seed + i))
-                i += 1
+    grid = [(n, m) for n in (2, 3, 4) for m in range(n, 13)]
 
     # approx_mms scores its allocation through verify against the oracle's
     # shares and raises below alpha, so its report is the verified score.
     results = []
-    for spec in specs:
+    for i in range(args.count):
+        n, m = grid[i % len(grid)]
+        spec = GeneratorSpec(kind="uniform-int", n=n, m=m, value_bound=100,
+                             seed=args.seed + i)
         instance = gen_random(spec)
         choice = alpha_for(instance.n, "improved")
         report = approx_mms(instance, choice, max_goods=args.max_goods)
@@ -248,7 +229,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         if exc.payload is not None:
-            json.dump(_payload_doc(exc.payload), sys.stderr, indent=2)
+            json.dump(_trace_doc(*exc.payload), sys.stderr, indent=2)
             print(file=sys.stderr)
         return 4
     except OSError as exc:

@@ -30,8 +30,8 @@ class CapacityError(MmsfairError):
 class InternalInvariantError(MmsfairError):
     """A property the solver guarantees by construction failed at runtime.
 
-    Carries whatever diagnostic payload was available (reduction log,
-    bag-fill trace) so the failure can be reported and reproduced.
+    The solver's payload is the pair (ReductionLog, BagFillRun or None),
+    the solve trace so far; the CLI dumps it as the ``--trace`` document.
     """
 
     def __init__(self, message: str, payload: object = None):

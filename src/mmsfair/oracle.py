@@ -132,8 +132,7 @@ def _raise_min(cells: list, cap: int) -> int:
         sums[b] -= y - x
 
 
-def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int,
-          seen: set | None = None):
+def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None):
     """Split every item into ``parts`` cells, each cell summing to >= tau.
 
     ``weights`` must be positive and non-increasing.  Returns
@@ -175,7 +174,7 @@ def _pack(weights: Sequence[int], suffix: Sequence[int], parts: int, tau: int,
             dumped.extend(range(i, m))
             return True
         left = m - i
-        if left < parts - full or suffix[i] < deficit:
+        if left < parts - full or prefix[m] - prefix[i] < deficit:
             return False
         opens = sorted([c for c in cells if c < tau], reverse=True)
         key = (i, *opens)
@@ -241,15 +240,11 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
         return 0, cells
 
     desc = [weights[i] for i in positive]
-    suffix = [0] * (len(desc) + 1)
-    for i in range(len(desc) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + desc[i]
-
-    hi = suffix[0] // parts
+    hi = sum(desc) // parts
     tau = _raise_min(_lpt_cells(desc, parts), hi)
     seen = set()
     while tau <= hi:
-        probe = _pack(desc, suffix, parts, tau, seen)
+        probe = _pack(desc, parts, tau, seen)
         if probe is None:
             break
         lo, packing = tau, probe

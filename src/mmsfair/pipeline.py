@@ -83,8 +83,7 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
             raise ContractError(
                 f"explicit alpha {alpha} is outside (0, {bound}] for n={n}; "
                 f"the allocation guarantee only holds up to {bound}")
-        return AlphaChoice(n_original=n, alpha=alpha, delta=alpha - Fraction(3, 4),
-                           mode="explicit")
+        mode = "explicit"
     return AlphaChoice(n_original=n, alpha=alpha, delta=alpha - Fraction(3, 4),
                        mode=mode)
 
@@ -176,15 +175,15 @@ def approx_mms(
             if bad:
                 raise InternalInvariantError(
                     f"normalization did not pin every maximin share to 1: {bad}",
-                    payload=log)
+                    payload=(log, None))
             if not is_totally_irreducible(irreducible, alpha, oni_values):
                 raise InternalInvariantError(
                     "instance is still reducible after the reduce/normalize/order "
-                    "composition", payload=log)
+                    "composition", payload=(log, None))
             if irreducible.m < 2 * irreducible.n:
                 raise InternalInvariantError(
                     f"only {irreducible.m} goods remain for {irreducible.n} bags",
-                    payload=log)
+                    payload=(log, None))
             bag_run = run_bag_fill(irreducible, alpha)
             if bag_run.allocation is None:
                 raise InternalInvariantError(

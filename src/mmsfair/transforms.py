@@ -354,7 +354,8 @@ def reduce(
                 raise InternalInvariantError(
                     f"agent {a}'s maximin share dropped from "
                     f"{values[a]} to {shares[a].value} after a reduction",
-                    payload=tuple(records))
+                    payload=(ReductionLog(records=tuple(records), initial=instance,
+                                          final=current), None))
     return ReductionLog(records=tuple(records), initial=instance, final=current,
                         shares=shares if current.n > 1 else None)
 

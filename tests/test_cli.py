@@ -1,10 +1,11 @@
 """CLI commands, file schemas, and exit codes."""
 
+import dataclasses
 import json
 import threading
 
 import mmsfair as mf
-from mmsfair import cli
+from mmsfair import cli, pipeline, transforms
 from mmsfair.cli import main
 
 
@@ -179,6 +180,68 @@ def test_bench_solves_on_the_calling_thread_without_reverifying(monkeypatch, cap
     assert json.loads(out)["count"] == 4
     assert solved_on == [threading.get_ident()] * 4
     assert verified == []
+
+
+def test_bench_cycles_through_the_30_cell_grid(capsys):
+    grid = [(n, m) for n in (2, 3, 4) for m in range(n, 13)]
+    assert len(grid) == 30
+    code, out, _ = _run(capsys, "bench", "--count", "32", "--seed", "7")
+    assert code == 0
+    expected = [f"uniform-int-n{n}-m{m}-b100-s{7 + i}"
+                for i, (n, m) in enumerate(grid + grid[:2])]
+    assert expected[30] == "uniform-int-n2-m2-b100-s37"
+    assert [r["id"] for r in json.loads(out)["results"]] == sorted(expected)
+
+
+def _solve_trace(tmp_path, capsys, inst_file):
+    trace_file = tmp_path / "trace.json"
+    code, _, _ = _run(capsys, "solve", "--input", str(inst_file),
+                      "--output", str(tmp_path / "report.json"),
+                      "--trace", str(trace_file))
+    assert code == 0
+    return json.loads(trace_file.read_text())
+
+
+def _exit_4_dump(capsys, inst_file):
+    """The JSON after the message line of a solve that must exit 4."""
+    code, out, err = _run(capsys, "solve", "--input", str(inst_file))
+    assert code == 4 and out == "", err
+    message, _, dump = err.partition("\n")
+    assert message.startswith("internal invariant violated: "), err
+    doc = json.loads(dump)
+    assert sorted(doc) == ["bagfill", "reductions"], doc
+    assert doc["reductions"] and all(
+        sorted(rec) == ["agent", "dummy", "pre_mms", "removed_goods", "rule"]
+        for rec in doc["reductions"]), doc
+    return doc
+
+
+def test_share_drop_exits_4_with_the_trace_document(tmp_path, capsys, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    _run(capsys, "gen", "tight", "--n", "3", "--output", str(inst_file))
+    trace = _solve_trace(tmp_path, capsys, inst_file)
+
+    real = transforms.instance_mms_all
+
+    def halved(*args, **kwargs):
+        return {a: dataclasses.replace(r, value=r.value / 2)
+                for a, r in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(transforms, "instance_mms_all", halved)
+    doc = _exit_4_dump(capsys, inst_file)
+    # reduce raises right after its first reduction, before bag filling.
+    assert doc == {"reductions": trace["reductions"][:1], "bagfill": []}
+
+
+def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    _run(capsys, "gen", "tight", "--n", "5", "--output", str(inst_file))
+    trace = _solve_trace(tmp_path, capsys, inst_file)
+    assert trace["bagfill"], "the instance must reach bag filling"
+
+    monkeypatch.setattr(pipeline, "is_totally_irreducible", lambda *args: False)
+    doc = _exit_4_dump(capsys, inst_file)
+    assert doc == {"reductions": trace["reductions"], "bagfill": []}
 
 
 def test_bench_rejects_unknown_suite(capsys):

@@ -201,9 +201,9 @@ def test_max_min_partition_probes_each_threshold_once(monkeypatch):
     thresholds = []
     real_pack = oracle._pack
 
-    def recording_pack(weights, suffix, parts, tau, seen=None):
+    def recording_pack(weights, parts, tau, seen=None):
         thresholds.append(tau)
-        return real_pack(weights, suffix, parts, tau, seen)
+        return real_pack(weights, parts, tau, seen)
 
     monkeypatch.setattr(oracle, "_pack", recording_pack)
     vals = _vals([3, 3, 2, 2, 2])
@@ -218,8 +218,7 @@ def _witness_at(weights, parts, tau):
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     positive = [i for i in order if weights[i] > 0]
     desc = [weights[i] for i in positive]
-    suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
-    owners, dumped = oracle._pack(desc, suffix, parts, tau)
+    owners, dumped = oracle._pack(desc, parts, tau)
     cells = [[positive[i] for i in owner] for owner in owners]
     cells[0].extend(positive[i] for i in dumped)
     cells[0].extend(i for i in order if weights[i] == 0)
@@ -234,8 +233,8 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     memos = []
     real_pack = oracle._pack
 
-    def recording_pack(weights, suffix, parts, tau, seen=None):
-        packing = real_pack(weights, suffix, parts, tau, seen)
+    def recording_pack(weights, parts, tau, seen=None):
+        packing = real_pack(weights, parts, tau, seen)
         probes.append((tau, packing is not None))
         memos.append(seen)
         return packing
@@ -318,7 +317,7 @@ def _assert_pack_matches_reference(desc, parts, tau, seen=None):
     """``_pack`` with a fresh memo, or with ``seen`` when one is given,
     returns what the reference returns with a fresh memo."""
     suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
-    assert oracle._pack(desc, suffix, parts, tau, seen) == \
+    assert oracle._pack(desc, parts, tau, seen) == \
         _reference_pack(desc, suffix, parts, tau), (desc, parts, tau)
 
 
@@ -379,9 +378,8 @@ def test_pack_matches_reference_on_any_input(inputs):
 def test_pack_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
     desc, parts, tau = inputs
     t1 = data.draw(st.integers(1, tau), label="t1")
-    suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
     seen = set()
-    oracle._pack(desc, suffix, parts, t1, seen)
+    oracle._pack(desc, parts, t1, seen)
     _assert_pack_matches_reference(desc, parts, tau, seen)
 
 
