@@ -8,8 +8,10 @@ capacity limit that errors instead of approximating.
 
 Two independent routes are provided:
 
-* ``mms``       -- the production search: values are scaled to integers,
-                   and the answer is found by climbing from a local-search
+* ``mms``       -- the production search: values are scaled to integers
+                   with integer arithmetic only (each numerator times the
+                   lcm of the denominators over its own denominator), and
+                   the answer is found by climbing from a local-search
                    floor (the greedy LPT packing, improved by moving or
                    swapping items out of its emptiest cell).  Thresholds
                    never fall: each probe asks for the best minimum cell
@@ -20,7 +22,11 @@ Two independent routes are provided:
                    symmetry pruning, an item-count bound (each open cell
                    needs at least as many items as the largest remaining
                    ones take to fill it) and a table of failed states that
-                   every probe of one search shares.
+                   every probe of one search shares.  The cheap cuts (too
+                   few items or too little value left, a deficit already
+                   met) run in the parent's branch loop, so a recursive
+                   call is made only for a state that can still be packed
+                   as far as those cuts can tell.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -72,12 +78,30 @@ def _canonical_goods(good_set: Iterable) -> list:
     return sorted(good_set, key=str)
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple:
-    """Scale rationals to integers by the lcm of their denominators."""
-    denom = 1
-    for v in values:
-        denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in values], denom
+def _checked_values(valuation: Mapping, goods: list) -> list:
+    """The value of each good, which must be listed once, be in
+    ``valuation``, and be a non-negative int or Fraction (not a bool)."""
+    if len(set(goods)) != len(goods):
+        raise ValidationError("good set contains duplicate ids")
+    values = []
+    for g in goods:
+        try:
+            v = valuation[g]
+        except KeyError:
+            raise ValidationError(f"good {g!r} missing from valuation") from None
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValidationError(
+                f"value for good {g!r} is not an int or a Fraction: {v!r}")
+        if v.numerator < 0:
+            raise ValidationError(f"negative value for good {g!r}")
+        values.append(v)
+    return values
+
+
+def _scaled(values: Sequence[int | Fraction]) -> tuple:
+    """Scale ints and Fractions to integers by the lcm of their denominators."""
+    denom = lcm(*[v.denominator for v in values])
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _lpt_cells(weights: Sequence[int], parts: int) -> list:
@@ -156,58 +180,110 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     item while a cell is still open: a packing that dumps it can swap it
     with a later, no larger item of an open cell, so an earlier branch
     would already have found a packing.
+
+    The cuts that need no memo run before any call: tau <= 0 dumps every
+    item; fewer items than parts, or a total below tau * parts, fails at
+    once; and the branch loop recurses into a child only if it keeps at
+    least one item per open cell and enough value for its deficit, and
+    succeeds in place when the item closes the last open cell.  A call
+    looks up the memo and applies the item-count bound.
     """
     m = len(weights)
+    if tau <= 0:
+        return [[] for _ in range(parts)], list(range(m))
     prefix = [0] * (m + 1)
     for i, w in enumerate(weights):
         prefix[i + 1] = prefix[i] + w
+    total = prefix[m]
+    if m < parts or total < tau * parts:
+        return None
     cells = [0] * parts
-    owners = [[] for _ in range(parts)]
+    owners = [[] for _ in range(parts)]  # filled on the way back from a success
     dumped = []
-    # Failed (item index, open cell sums) states.  Cells at or above tau are
-    # interchangeable, so only the open sums are keyed.
     if seen is None:
         seen = set()
 
-    def rec(i: int, deficit: int, full: int) -> bool:
-        if deficit == 0:
-            dumped.extend(range(i, m))
-            return True
-        left = m - i
-        if left < parts - full or prefix[m] - prefix[i] < deficit:
-            return False
-        opens = sorted([c for c in cells if c < tau], reverse=True)
+    # ``opens``: the open cell sums (all below tau) in descending order;
+    # ``deficit``: what they lack of tau in all.
+    def rec(i: int, opens: list, deficit: int) -> bool:
         key = (i, *opens)
         if key in seen:
             return False
         # Item-count bound: a cell short by d needs at least as many items
-        # as the largest remaining ones take to reach d.
-        need = -i * len(opens)
+        # as the largest remaining ones take to reach d.  Each open cell is
+        # short by at least as much as the one before it, so each search
+        # starts where the last one ended.
+        left = m - i
+        count = len(opens)
+        need = -i * count
         base = prefix[i] + tau
+        last = -1
+        k = i
         for s in opens:
-            need += bisect_left(prefix, base - s, i)
+            if s != last:
+                last = s
+                k = bisect_left(prefix, base - s, k)
+            need += k
         if need > left:
             seen.add(key)
             return False
         w = weights[i]
+        rest = total - prefix[i + 1]
+        # Cells the item closes come first (the highest sums).  Each leaves
+        # the child one item and one open cell fewer, so only the value check
+        # can cut it, and the child's deficit is the other open cells'.
+        cut = tau - w
+        t = 0
         last = -1
-        for s in opens:
-            if s == last:
-                continue
-            last = s
-            j = cells.index(s)  # the lowest-indexed cell with this sum
-            cells[j] = s + w
-            owners[j].append(i)
-            if rec(i + 1, deficit - min(w, tau - s), full + (s + w >= tau)):
-                return True
-            cells[j] = s
-            owners[j].pop()
+        while t < count:
+            s = opens[t]
+            if s < cut:
+                break
+            if s != last:
+                last = s
+                d = deficit - tau + s
+                if d <= rest:
+                    j = cells.index(s)  # the lowest-indexed cell with this sum
+                    if d == 0:
+                        owners[j].append(i)
+                        dumped.extend(range(i + 1, m))
+                        return True
+                    cells[j] = s + w
+                    if rec(i + 1, opens[:t] + opens[t + 1:], d):
+                        owners[j].append(i)
+                        return True
+                    cells[j] = s
+            t += 1
+        # Every cell the item leaves open gives the child the same deficit
+        # and open-cell count, so one check covers them all.
+        d = deficit - w
+        if t < count and left > count and d <= rest:
+            while t < count:
+                s = opens[t]
+                if s != last:
+                    last = s
+                    j = cells.index(s)
+                    cells[j] = s + w
+                    child = opens[:]
+                    child[t] = s + w
+                    child.sort(reverse=True)
+                    if rec(i + 1, child, d):
+                        owners[j].append(i)
+                        return True
+                    cells[j] = s
+                t += 1
         seen.add(key)
         return False
 
-    if rec(0, max(tau, 0) * parts, 0):
-        return owners, dumped
-    return None
+    found = rec(0, [0] * parts, tau * parts)
+    # ``rec`` refers to itself through its closure; without this the cycle,
+    # and the memo it holds, would live until the next full collection.
+    del rec
+    if not found:
+        return None
+    for owner in owners:
+        owner.reverse()  # appended from the last item back
+    return owners, dumped
 
 
 def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
@@ -295,7 +371,9 @@ def mms(
 ) -> MmsResult:
     """Exact maximin share of ``good_set`` split into ``parts`` bundles.
 
-    ``valuation`` maps good id -> Value.  With fewer goods than parts the
+    ``valuation`` maps good id -> a non-negative int or Fraction (not a
+    bool); any other value, a missing good or a duplicate good id raises
+    ValidationError.  With fewer goods than parts the
     value is 0 and some cells are empty.  An equal-valued ``certificate``
     partition short-circuits the search (and the capacity check); an
     invalid certificate raises ContractError rather than falling back.
@@ -303,17 +381,7 @@ def mms(
     if parts < 1:
         raise ContractError(f"parts must be >= 1, got {parts}")
     goods = _canonical_goods(good_set)
-    if len(set(goods)) != len(goods):
-        raise ValidationError("good set contains duplicate ids")
-    values = []
-    for g in goods:
-        try:
-            v = valuation[g]
-        except KeyError:
-            raise ValidationError(f"good {g!r} missing from valuation") from None
-        if v < 0:
-            raise ValidationError(f"negative value for good {g!r}")
-        values.append(v)
+    values = _checked_values(valuation, goods)
     if certificate is not None:
         return _certified(valuation, parts, goods, certificate)
     _check_capacity(len(goods), parts, max_goods)
@@ -327,7 +395,7 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     """Independent oracle: try every assignment of goods to cells.
 
     No memoization, no pruning; limited to 10 goods and 4 parts.  Exists
-    solely to cross-check ``mms``.
+    solely to cross-check ``mms``, and checks its values as ``mms`` does.
     """
     if parts < 1:
         raise ContractError(f"parts must be >= 1, got {parts}")
@@ -335,10 +403,7 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     if len(goods) > NAIVE_MAX_GOODS or parts > NAIVE_MAX_PARTS:
         raise CapacityError(
             f"mms_naive is limited to {NAIVE_MAX_GOODS} goods / {NAIVE_MAX_PARTS} parts")
-    values = [valuation[g] for g in goods]
-    if any(v < 0 for v in values):
-        raise ValidationError("negative value in valuation")
-    scaled, denom = _scaled(values)
+    scaled, denom = _scaled(_checked_values(valuation, goods))
     best = -1
     best_assign = None
     for assign in product(range(parts), repeat=len(goods)):

@@ -38,6 +38,19 @@ def test_gen_solve_verify_chain(tmp_path, capsys):
     assert trace["reductions"][0]["rule"] == "R2"
     assert all(e["event"] in ("fill", "assign") for e in trace["bagfill"])
 
+    # n = 3 reduces to one agent before bag filling; n = 5 is the smallest
+    # tight instance whose solve reaches it.
+    big_file = tmp_path / "inst5.json"
+    big_trace = tmp_path / "trace5.json"
+    _run(capsys, "gen", "tight", "--n", "5", "--output", str(big_file))
+    code, _, _ = _run(capsys, "solve", "--input", str(big_file),
+                      "--alpha", "improved", "--output", str(tmp_path / "report5.json"),
+                      "--trace", str(big_trace))
+    assert code == 0
+    events = json.loads(big_trace.read_text())["bagfill"]
+    assert events
+    assert all(e["event"] in ("fill", "assign") for e in events)
+
     alloc_file.write_text(json.dumps(report["allocation"]))
     code, out, _ = _run(capsys, "verify", "--input", str(inst_file),
                         "--allocation", str(alloc_file), "--alpha", "7/9")

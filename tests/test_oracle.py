@@ -355,8 +355,9 @@ def test_pack_with_one_memo_over_rising_thresholds_matches_reference():
 
 @st.composite
 def _pack_inputs(draw):
-    """Non-increasing positive weights, a part count and any threshold up to
-    one past total // parts; half the draws are near-equal (base +- 10%)."""
+    """Non-increasing positive weights, a part count and any threshold from
+    0 up to one past total // parts; half the draws are near-equal
+    (base +- 10%)."""
     if draw(st.booleans()):
         base = draw(st.integers(10, 1000))
         item = st.integers(base - base // 10, base + base // 10)
@@ -364,23 +365,49 @@ def _pack_inputs(draw):
         item = st.integers(1, 1000)
     desc = sorted(draw(st.lists(item, min_size=1, max_size=12)), reverse=True)
     parts = draw(st.integers(2, 6))
-    return desc, parts, draw(st.integers(1, sum(desc) // parts + 1))
+    return desc, parts, draw(st.integers(0, sum(desc) // parts + 1))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_pack_inputs())
 def test_pack_matches_reference_on_any_input(inputs):
     _assert_pack_matches_reference(*inputs)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_pack_inputs(), st.data())
 def test_pack_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
     desc, parts, tau = inputs
-    t1 = data.draw(st.integers(1, tau), label="t1")
+    t1 = data.draw(st.integers(0, tau), label="t1")
     seen = set()
     oracle._pack(desc, parts, t1, seen)
     _assert_pack_matches_reference(desc, parts, tau, seen)
+
+
+# (valuation, good set, what the ValidationError says)
+MALFORMED_VALUES = [
+    ({"a": Fraction(1), "b": Fraction(-1, 2)}, ["a", "b"], "negative value for good 'b'"),
+    ({"a": 0.5, "b": 1.5}, ["a", "b"], "good 'a' is not an int or a Fraction"),
+    ({"a": 1, "b": "2"}, ["a", "b"], "good 'b' is not an int or a Fraction"),
+    ({"a": True, "b": 1}, ["a", "b"], "good 'a' is not an int or a Fraction"),
+    ({"a": Fraction(1)}, ["a", "b"], "good 'b' missing from valuation"),
+    ({"a": Fraction(1), "b": Fraction(2)}, ["a", "b", "a"], "duplicate ids"),
+]
+
+
+def test_mms_rejects_malformed_values():
+    for valuation, goods, message in MALFORMED_VALUES:
+        for oracle_fn in (mf.mms, mf.mms_naive):
+            with pytest.raises(mf.ValidationError, match=message):
+                oracle_fn(valuation, 2, goods)
+
+
+def test_mms_takes_ints_and_fractions_alike():
+    mixed = {"a": 3, "b": Fraction(3, 2), "c": Fraction(3, 2)}
+    exact = {g: Fraction(v) for g, v in mixed.items()}
+    for oracle_fn in (mf.mms, mf.mms_naive):
+        assert oracle_fn(mixed, 2, list(mixed)) == oracle_fn(exact, 2, list(exact))
+    assert mf.mms(mixed, 2, list(mixed)).value == 3
 
 
 def test_raise_min_hand_cases():
@@ -396,7 +423,7 @@ def test_raise_min_hand_cases():
     assert cells == [[3], [3], [4, 1]]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=8), st.integers(2, 4))
 def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
     desc = sorted(weights, reverse=True)
@@ -410,7 +437,7 @@ def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
     assert lpt <= low <= mf.mms_naive(vals, parts, list(vals)).value
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.builds(Fraction, st.integers(0, 1000), st.integers(1, 1000)),
                 min_size=1, max_size=8),
        st.integers(2, 4))
