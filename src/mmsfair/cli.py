@@ -213,9 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "max_goods", 0) < 0:  # gen has no --max-goods
             raise ValidationError(f"--max-goods must be at least 0, got {args.max_goods}")

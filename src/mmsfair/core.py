@@ -116,11 +116,6 @@ class Instance:
         except KeyError:
             raise ValidationError(f"unknown good id {good!r} for agent {agent}") from None
 
-    def agent_row(self, agent) -> tuple:
-        """The agent's values over all goods in canonical order (hashable)."""
-        row = self.valuations[agent]
-        return tuple(row[g] for g in self.all_goods)
-
     def total_value(self, agent) -> Fraction:
         return sum(self.valuations[agent].values(), ZERO)
 
@@ -365,14 +360,14 @@ def allocation_to_json(instance: Instance, allocation: Allocation) -> dict:
     }
 
 
-def allocation_from_json(instance: Instance, doc: Mapping, complete: bool = True) -> Allocation:
+def allocation_from_json(instance: Instance, doc: Mapping) -> Allocation:
     entries = _by_agent(doc, instance.agents, "allocation JSON")
     bundles = {}
     for a in instance.agents:
         if a not in entries:
             raise ValidationError(f"allocation JSON: missing bundle for agent {a}")
         bundles[a] = frozenset(_id_list(entries[a], f"allocation JSON: bundle for agent {a}"))
-    alloc = Allocation(bundles=bundles, complete=complete)
+    alloc = Allocation(bundles=bundles, complete=True)
     validate_allocation(instance, alloc)
     return alloc
 

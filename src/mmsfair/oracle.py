@@ -300,10 +300,8 @@ def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
     shares one failed-state memo, which is sound because the thresholds
     never fall.
     """
-    m = len(weights)
-    if parts == 1:
-        return sum(weights), [list(range(m))]
-    order = sorted(range(m), key=lambda i: (-weights[i], i))
+    # A reverse sort is stable: equal weights keep their index order.
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     positive = [i for i in order if weights[i] > 0]
     zeros = [i for i in order if weights[i] == 0]
     if len(positive) < parts:
@@ -431,23 +429,26 @@ def instance_mms_all(
     """Each agent's MmsResult over goods + dummies with n parts.
 
     Uses the instance's certificate for an agent when present; otherwise
-    agents with identical valuation rows share a single search.
+    agents with identical valuation rows share a single search and result
+    (rows are compared, not hashed: they rarely repeat and differ early).
     """
     results = {}
-    row_cache = {}
+    searched = []  # (row, result) for each row searched so far
     for a in instance.agents:
+        row = instance.valuations[a]
         cert = None
         if instance.certificates is not None:
             cert = instance.certificates.get(a)
         if cert is not None:
-            results[a] = mms(instance.valuations[a], instance.n,
-                             instance.all_goods, certificate=cert)
+            results[a] = mms(row, instance.n, instance.all_goods, certificate=cert)
             continue
-        row = instance.agent_row(a)
-        if row not in row_cache:
-            row_cache[row] = mms(instance.valuations[a], instance.n,
-                                 instance.all_goods, max_goods=max_goods)
-        results[a] = row_cache[row]
+        for earlier, result in searched:
+            if row == earlier:
+                break
+        else:
+            result = mms(row, instance.n, instance.all_goods, max_goods=max_goods)
+            searched.append((row, result))
+        results[a] = result
     return results
 
 

@@ -59,7 +59,7 @@ class AlphaChoice:
             "mode": self.mode,
             "n": self.n_original,
             "alpha": format_value(self.alpha),
-            "delta": f"{self.delta.numerator}/{self.delta.denominator}",
+            "delta": format_value(self.delta),
         }
 
 

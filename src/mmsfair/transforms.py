@@ -92,8 +92,8 @@ def to_ordered(instance: Instance) -> tuple:
     valuations = {}
     for a in instance.agents:
         row = instance.valuations[a]
-        perm = sorted(instance.goods,
-                      key=lambda g: (-row[g], instance.good_position[g]))
+        # A reverse sort is stable: equal values keep their canonical order.
+        perm = sorted(instance.goods, key=row.__getitem__, reverse=True)
         by_agent[a] = tuple(perm)
         new_row = {rank_goods[t]: row[perm[t]] for t in range(m)}
         for d in instance.dummies:

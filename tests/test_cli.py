@@ -1,6 +1,8 @@
 """CLI commands, file schemas, and exit codes."""
 
+import argparse
 import dataclasses
+import gc
 import json
 import threading
 
@@ -275,3 +277,21 @@ def test_negative_limits_exit_2_naming_the_flag(tmp_path, capsys):
         code, out, err = _run(capsys, "bench", "--count", count, "--seed", "1")
         assert code == 2 and out == "", (count, err)
         assert err.startswith("error") and "--count" in err, (count, err)
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys):
+    def parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()  # a per-call parser would otherwise be collected at random
+    try:
+        before = parsers()
+        for seed in range(3):
+            code, _, _ = _run(capsys, "gen", "random", "--n", "2", "--m", "3",
+                              "--bound", "5", "--seed", str(seed),
+                              "--output", str(tmp_path / f"{seed}.json"))
+            assert code == 0
+        assert parsers() == before
+    finally:
+        gc.enable()

@@ -167,6 +167,14 @@ def test_identical_rows_share_one_search():
     results = mf.instance_mms_all(stripped)
     assert all(r.value == 1 for r in results.values())
     assert results[0] is results[3]
+    # rows equal on the real goods but not on the dummy are searched apart
+    row = {"g1": 3, "g2": 2, "g3": 1, "d1": 1}
+    inst = mf.make_instance(3, ["g1", "g2", "g3"], {0: row, 1: dict(row),
+                            2: {**row, "d1": 4}}, dummies=["d1"])
+    results = mf.instance_mms_all(inst)
+    assert results[0] is results[1]
+    assert results[2] is not results[0]
+    assert (results[0].value, results[2].value) == (2, 3)
 
 
 def test_mms_score_of_certificate_partition_is_one():
@@ -440,7 +448,7 @@ def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
 @settings(max_examples=100)
 @given(st.lists(st.builds(Fraction, st.integers(0, 1000), st.integers(1, 1000)),
                 min_size=1, max_size=8),
-       st.integers(2, 4))
+       st.integers(1, 4))
 def test_mms_matches_naive_on_wide_rationals(values, parts):
     vals = _vals(values)
     fast = mf.mms(vals, parts, list(vals))
