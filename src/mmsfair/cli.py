@@ -31,7 +31,7 @@ from .errors import (
     InternalInvariantError,
     ValidationError,
 )
-from .harness import GeneratorSpec, gen_random, gen_tight_example, verify
+from .harness import GeneratorSpec, generate, verify
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
 from .pipeline import alpha_for, approx_mms
 
@@ -108,12 +108,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "tight":
-        instance = gen_tight_example(args.n)
+        spec = GeneratorSpec(kind="tight", n=args.n)
     else:
         spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m,
                              value_bound=args.bound, seed=args.seed)
-        instance = gen_random(spec)
-    _write_json(instance_to_json(instance), args.output)
+    _write_json(instance_to_json(generate(spec)), args.output)
     return 0
 
 
@@ -131,7 +130,7 @@ def _cmd_bench(args) -> int:
         n, m = grid[i % len(grid)]
         spec = GeneratorSpec(kind="uniform-int", n=n, m=m, value_bound=100,
                              seed=args.seed + i)
-        instance = gen_random(spec)
+        instance = generate(spec)
         choice = alpha_for(instance.n, "improved")
         report = approx_mms(instance, choice, max_goods=args.max_goods)
         results.append({

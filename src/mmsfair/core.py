@@ -196,6 +196,12 @@ def make_instance(
     return inst
 
 
+def is_partition(cells: Iterable, goods: Iterable) -> bool:
+    """Whether ``cells`` are disjoint and together hold exactly ``goods``."""
+    covered = [g for cell in cells for g in cell]
+    return len(covered) == len(set(covered)) and set(covered) == set(goods)
+
+
 def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
@@ -234,8 +240,7 @@ def validate_instance(instance: Instance) -> None:
         for a, cells in instance.certificates.items():
             if a not in instance.valuations:
                 raise ValidationError(f"certificates: unknown agent {a}")
-            covered = [g for cell in cells for g in cell]
-            if len(covered) != len(set(covered)) or set(covered) != expected:
+            if not is_partition(cells, expected):
                 raise ValidationError(
                     f"certificates[{a}]: cells do not partition the goods")
 

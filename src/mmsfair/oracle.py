@@ -26,7 +26,9 @@ Two independent routes are provided:
                    few items or too little value left, a deficit already
                    met) run in the parent's branch loop, so a recursive
                    call is made only for a state that can still be packed
-                   as far as those cuts can tell.
+                   as far as those cuts can tell.  The search state is the
+                   memo key; the cells are rebuilt from the success path,
+                   each item joining the lowest-indexed cell with its sum.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -47,7 +49,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, ZERO
+from .core import Instance, Value, ZERO, is_partition
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, ValidationError
 
@@ -186,7 +188,10 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     once; and the branch loop recurses into a child only if it keeps at
     least one item per open cell and enough value for its deficit, and
     succeeds in place when the item closes the last open cell.  A call
-    looks up the memo and applies the item-count bound.
+    looks up the memo and applies the item-count bound.  Its state
+    ``(i, opens, deficit)`` is its memo key and all it reads besides the
+    memo.  A success records the open sum each item joined, and the cells
+    are replayed from that path by the tie rule above.
     """
     m = len(weights)
     if tau <= 0:
@@ -197,9 +202,7 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     total = prefix[m]
     if m < parts or total < tau * parts:
         return None
-    cells = [0] * parts
-    owners = [[] for _ in range(parts)]  # filled on the way back from a success
-    dumped = []
+    path = []  # the open sum each item joined, filled on the way back from a success
     if seen is None:
         seen = set()
 
@@ -229,49 +232,38 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
             return False
         w = weights[i]
         rest = total - prefix[i + 1]
-        # Cells the item closes come first (the highest sums).  Each leaves
-        # the child one item and one open cell fewer, so only the value check
-        # can cut it, and the child's deficit is the other open cells'.
         cut = tau - w
-        t = 0
-        last = -1
-        while t < count:
-            s = opens[t]
-            if s < cut:
-                break
-            if s != last:
+        last = tau  # above every open sum
+        for t, s in enumerate(opens):
+            if s == last:
+                continue
+            if s >= cut:
+                # The item closes this cell (these sums come first), so the
+                # child has one item and one open cell fewer: only the value
+                # check can cut it, and its deficit is the other cells'.
                 last = s
                 d = deficit - tau + s
-                if d <= rest:
-                    j = cells.index(s)  # the lowest-indexed cell with this sum
-                    if d == 0:
-                        owners[j].append(i)
-                        dumped.extend(range(i + 1, m))
-                        return True
-                    cells[j] = s + w
-                    if rec(i + 1, opens[:t] + opens[t + 1:], d):
-                        owners[j].append(i)
-                        return True
-                    cells[j] = s
-            t += 1
-        # Every cell the item leaves open gives the child the same deficit
-        # and open-cell count, so one check covers them all.
-        d = deficit - w
-        if t < count and left > count and d <= rest:
-            while t < count:
-                s = opens[t]
-                if s != last:
-                    last = s
-                    j = cells.index(s)
-                    cells[j] = s + w
-                    child = opens[:]
-                    child[t] = s + w
-                    child.sort(reverse=True)
-                    if rec(i + 1, child, d):
-                        owners[j].append(i)
-                        return True
-                    cells[j] = s
-                t += 1
+                if d > rest:
+                    continue
+                if d == 0:
+                    path.append(s)
+                    return True
+                child = opens[:t] + opens[t + 1:]
+            else:
+                if last >= cut:
+                    # The first cell the item leaves open.  Every such cell
+                    # gives the child the same deficit and open-cell count,
+                    # so one check covers them all.
+                    d = deficit - w
+                    if left <= count or d > rest:
+                        break
+                last = s
+                child = opens[:]
+                child[t] = s + w
+                child.sort(reverse=True)
+            if rec(i + 1, child, d):
+                path.append(s)
+                return True
         seen.add(key)
         return False
 
@@ -281,9 +273,14 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     del rec
     if not found:
         return None
-    for owner in owners:
-        owner.reverse()  # appended from the last item back
-    return owners, dumped
+    # Closed cells sit at or above tau, so no open sum matches them.
+    cells = [0] * parts
+    owners = [[] for _ in range(parts)]
+    for i, s in enumerate(reversed(path)):  # appended from the last item back
+        j = cells.index(s)
+        cells[j] = s + weights[i]
+        owners[j].append(i)
+    return owners, list(range(len(path), m))
 
 
 def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
@@ -349,8 +346,7 @@ def _certified(valuation: Mapping, parts: int, goods: list, certificate) -> MmsR
     if len(cells) != parts:
         raise ContractError(
             f"certificate has {len(cells)} cells, expected {parts}")
-    covered = [g for cell in cells for g in cell]
-    if len(covered) != len(set(covered)) or set(covered) != set(goods):
+    if not is_partition(cells, goods):
         raise ContractError("certificate cells do not partition the good set")
     cell_values = [sum((valuation[g] for g in cell), ZERO) for cell in cells]
     if any(v != cell_values[0] for v in cell_values):

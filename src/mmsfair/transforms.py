@@ -35,6 +35,7 @@ from .core import (
     bundle_value,
     format_value,
     fresh_id,
+    is_partition,
     validate_allocation,
 )
 from .errors import ContractError, InternalInvariantError
@@ -168,9 +169,7 @@ def normalize(instance: Instance, shares: Mapping) -> Instance:
     for a in instance.agents:
         partition = shares[a].partition
         row = instance.valuations[a]
-        covered = [g for cell in partition for g in cell]
-        if (len(partition) != instance.n or len(covered) != len(set(covered))
-                or set(covered) != set(instance.all_goods)):
+        if len(partition) != instance.n or not is_partition(partition, instance.all_goods):
             raise ContractError(
                 f"agent {a}: maximin partition does not split all goods "
                 f"into {instance.n} cells")

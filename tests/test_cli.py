@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import threading
+from pathlib import Path
 
 import mmsfair as mf
 from mmsfair import cli, pipeline, transforms
@@ -84,6 +85,18 @@ def test_gen_random_and_mms_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "mms", "--input", str(inst_file), "--agent", "1")
     assert code == 0
     assert list(json.loads(out)) == ["1"]
+
+
+def test_gen_writes_the_generators_documents(capsys):
+    code, out, _ = _run(capsys, "gen", "random", "--n", "2", "--m", "4",
+                        "--bound", "10", "--seed", "7")
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "golden_uniform_int_n2_m4_b10_s7.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+    code, out, _ = _run(capsys, "gen", "tight", "--n", "4")
+    assert code == 0
+    assert json.loads(out) == mf.instance_to_json(mf.gen_tight_example(4))
 
 
 _OK_ROWS = {"0": {"g1": 1, "g2": 1}, "1": {"g1": 1, "g2": 1}}
