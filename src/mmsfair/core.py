@@ -206,8 +206,9 @@ def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
     Verified: unique good ids across goods and dummies, unique agent ids,
-    a complete valuation row per agent (no missing or extra goods), and
-    non-negative values throughout.
+    a complete valuation row per agent (no missing or extra goods),
+    non-negative values throughout, and that each certificate splits the
+    goods and dummies into n cells of equal value to its agent.
     """
     seen = set()
     for g in instance.all_goods:
@@ -240,9 +241,16 @@ def validate_instance(instance: Instance) -> None:
         for a, cells in instance.certificates.items():
             if a not in instance.valuations:
                 raise ValidationError(f"certificates: unknown agent {a}")
+            if len(cells) != instance.n:
+                raise ValidationError(
+                    f"certificates[{a}]: {len(cells)} cells, expected {instance.n}")
             if not is_partition(cells, expected):
                 raise ValidationError(
                     f"certificates[{a}]: cells do not partition the goods")
+            row = instance.valuations[a]
+            if len({sum((row[g] for g in cell), ZERO) for cell in cells}) > 1:
+                raise ValidationError(
+                    f"certificates[{a}]: cells are not equal-valued")
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> None:

@@ -11,18 +11,21 @@ Two independent routes are provided:
 * ``mms``       -- the production search: values are scaled to integers
                    with integer arithmetic only (each numerator times the
                    lcm of the denominators over its own denominator), and
-                   the answer is found by climbing from a local-search
+                   the value is found by climbing from a local-search
                    floor (the greedy LPT packing, improved by moving or
-                   swapping items out of its emptiest cell).  Thresholds
-                   never fall: each probe asks for the best minimum cell
-                   witnessed so far, or one more once a probe there has
-                   succeeded, so only the probe that proves the optimum
-                   fails and the last success is the witness.  Each
-                   feasibility probe is a complete depth-first packing with
+                   swapping items out of its emptiest cell).  Each probe
+                   asks for one more than the best minimum cell witnessed
+                   so far, so thresholds strictly rise and only the probe
+                   that proves the optimum fails.  The climb builds no
+                   witness: the partition is ``_pack`` at the optimum,
+                   run with a fresh memo on its first read, so a caller
+                   that reads only values (rule targets, verification)
+                   never pays for it.  Each feasibility probe is a
+                   complete depth-first packing with
                    symmetry pruning, an item-count bound (each open cell
                    needs at least as many items as the largest remaining
                    ones take to fill it) and a table of failed states that
-                   every probe of one search shares.  The cheap cuts (too
+                   every probe of one climb shares.  The cheap cuts (too
                    few items or too little value left, a deficit already
                    met) run in the parent's branch loop, so a recursive
                    call is made only for a state that can still be packed
@@ -45,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -60,17 +64,47 @@ NAIVE_MAX_GOODS = 10
 NAIVE_MAX_PARTS = 4
 
 
+class _Deferred:
+    """A dataclass field that may be given a zero-argument callable in place
+    of its value: the first read calls it and keeps the result in its place.
+
+    It is a data descriptor, so a frozen dataclass's ``__init__`` stores
+    through it and every read (``==``, ``hash``, ``repr``,
+    ``dataclasses.replace``) goes through it.  It has no class-level
+    default, so the field stays required.  Two threads reading at once may
+    both call it; each keeps an equal result.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class MmsResult:
     """An exact maximin-share value plus one witnessing partition.
 
     The partition always has exactly ``parts`` cells (some may be empty
     when there are fewer goods than parts) and its minimum cell value
-    equals ``value``.
+    equals ``value``.  ``mms`` defers it: its search finds the value
+    without a witness, and the partition is built by one more ``_pack``
+    run on its first read (in the package only ``normalize`` and the
+    CLI's ``mms`` command read it), then kept.  It may be given as a
+    tuple, or as a zero-argument callable that returns one.
     """
 
     value: Value
-    partition: tuple  # of frozensets of good ids
+    partition: tuple = _Deferred()  # of frozensets of good ids
 
 
 def _canonical_goods(good_set: Iterable) -> list:
@@ -283,51 +317,67 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     return owners, list(range(len(path), m))
 
 
-def _max_min_partition(weights: Sequence[int], parts: int) -> tuple:
-    """Exact maximin over integer weights: (value, cells as index lists).
+def _witness(goods: list, desc: list, parts: int, value: int, positive: list,
+             zeros: list) -> tuple:
+    """The canonical witness of the share ``value``, as frozensets of goods.
 
-    Climbs from a local-search floor (the LPT packing improved by
-    ``_raise_min``) and never lowers its threshold: it probes ``_pack`` at
-    the floor itself, then at the successful packing's own minimum cell
-    when that is higher (dumped items counted in cell 0, as the witness
-    builds it), otherwise one above it.  Feasibility is monotone in the
-    threshold, so the first failed probe, or a success at total // parts,
-    proves the last successful threshold optimal, and its packing is the
-    witness: ``_pack`` at the optimum itself.  Every probe of one search
-    shares one failed-state memo, which is sound because the thresholds
-    never fall.
+    ``desc`` holds the positive weights, non-increasing, at the indices
+    ``positive`` of ``goods``; ``zeros`` are the indices of the zero
+    weights.  The cells are ``_pack`` at the value with a fresh memo (a
+    memo that saw the failing probe at value + 1 is unsound at the value),
+    with its dumped items and the zero weights in cell 0.  With fewer
+    positive weights than parts some cell is forced to 0: the positives are
+    spread one per cell and the zeros parked in the last cell, so the
+    minimum is witnessed exactly.
+    """
+    if len(desc) < parts:
+        cells = [[i] for i in positive] + [[] for _ in range(parts - len(desc))]
+        cells[-1].extend(zeros)
+    else:
+        owners, dumped = _pack(desc, parts, value)
+        cells = [[positive[i] for i in owner] for owner in owners]
+        cells[0].extend(positive[i] for i in dumped)
+        cells[0].extend(zeros)
+    return tuple(frozenset(goods[i] for i in cell) for cell in cells)
+
+
+def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple:
+    """Exact maximin over integer weights, one per good: (value, witness).
+
+    The value is found by a climb that builds no witness.  It starts at a
+    local-search floor (the LPT packing improved by ``_raise_min``) and
+    probes ``_pack`` only one above the best minimum cell seen so far; a
+    success raises that floor to the packing's own minimum cell (dumped
+    items counted in cell 0, as the witness builds it).  Feasibility is
+    monotone in the threshold, so the first failed probe, or a floor at
+    total // parts, proves the floor optimal.  Thresholds strictly rise,
+    so every probe of one search shares one failed-state memo and none is
+    probed twice; a floor that is already optimal costs at most one
+    failing probe.
+
+    ``witness`` is a zero-argument callable that returns the partition of
+    ``goods`` (``_witness``: ``_pack`` at the value).  It holds the weights
+    it needs, never the climb's memo, and runs only when called.
     """
     # A reverse sort is stable: equal weights keep their index order.
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     positive = [i for i in order if weights[i] > 0]
     zeros = [i for i in order if weights[i] == 0]
-    if len(positive) < parts:
-        # Some cell is forced to value 0; spread the positives, park the
-        # zeros in the last cell so the minimum is witnessed exactly.
-        cells = [[] for _ in range(parts)]
-        for slot, i in enumerate(positive):
-            cells[slot].append(i)
-        cells[parts - 1].extend(zeros)
-        return 0, cells
-
     desc = [weights[i] for i in positive]
-    hi = sum(desc) // parts
-    tau = _raise_min(_lpt_cells(desc, parts), hi)
-    seen = set()
-    while tau <= hi:
-        probe = _pack(desc, parts, tau, seen)
-        if probe is None:
-            break
-        lo, packing = tau, probe
-        owners, dumped = probe
-        sums = [sum(desc[i] for i in owner) for owner in owners]
-        sums[0] += sum(desc[i] for i in dumped)
-        tau = max(min(sums), tau + 1)
-    owners, dumped = packing
-    cells = [[positive[i] for i in owner] for owner in owners]
-    cells[0].extend(positive[i] for i in dumped)
-    cells[0].extend(zeros)
-    return lo, cells
+    lo = 0
+    if len(desc) >= parts:
+        hi = sum(desc) // parts
+        lo = _raise_min(_lpt_cells(desc, parts), hi)
+        seen = set()
+        while lo < hi:
+            probe = _pack(desc, parts, lo + 1, seen)
+            if probe is None:
+                break
+            owners, dumped = probe
+            sums = [sum(desc[i] for i in owner) for owner in owners]
+            sums[0] += sum(desc[i] for i in dumped)
+            lo = min(sums)
+    return lo, partial(_witness, goods, desc, parts, lo, positive, zeros)
 
 
 def _check_capacity(count: int, parts: int, max_goods: int) -> None:
@@ -371,6 +421,7 @@ def mms(
     value is 0 and some cells are empty.  An equal-valued ``certificate``
     partition short-circuits the search (and the capacity check); an
     invalid certificate raises ContractError rather than falling back.
+    A searched result's partition is built on its first read.
     """
     if parts < 1:
         raise ContractError(f"parts must be >= 1, got {parts}")
@@ -380,9 +431,8 @@ def mms(
         return _certified(valuation, parts, goods, certificate)
     _check_capacity(len(goods), parts, max_goods)
     scaled, denom = _scaled(values)
-    raw, cells = _max_min_partition(scaled, parts)
-    partition = tuple(frozenset(goods[i] for i in cell) for cell in cells)
-    return MmsResult(value=Fraction(raw, denom), partition=partition)
+    raw, witness = _max_min_partition(scaled, parts, goods)
+    return MmsResult(Fraction(raw, denom), witness)
 
 
 def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:

@@ -123,6 +123,10 @@ MALFORMED = [
     ([1, 2], None, "instance JSON must be an object"),
     ({"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": "1e3"}}}, None,
      "valuations[0][g1]"),
+    (dict(_OK_INSTANCE, certificates={"0": [["g1", "g2"]]}), None,
+     "certificates[0]"),
+    (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"0": {"g1": 2, "g2": 1}}),
+          certificates={"0": [["g1"], ["g2"]]}), None, "certificates[0]"),
 ]
 
 

@@ -1,7 +1,9 @@
 """MMS oracle: frozen examples, cross-oracle checks, invariants, capacity."""
 
+import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import mmsfair as mf
 from mmsfair import oracle
 
-from helpers import random_instance
+from helpers import random_complete_allocation, random_instance
 
 
 def _vals(numbers):
@@ -202,23 +204,34 @@ def test_mms_score_requires_complete_allocation():
         mf.verify(inst, partial, Fraction(3, 4))
 
 
-def test_max_min_partition_probes_each_threshold_once(monkeypatch):
-    # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
-    # the optimum 6 | 6, which is total // parts: one successful probe at 6,
-    # whose packing is the one returned.
-    thresholds = []
+def _recording_pack(monkeypatch) -> list:
+    """Record (tau, packing, memo) for every ``_pack`` call from the oracle."""
+    probes = []
     real_pack = oracle._pack
 
     def recording_pack(weights, parts, tau, seen=None):
-        thresholds.append(tau)
-        return real_pack(weights, parts, tau, seen)
+        packing = real_pack(weights, parts, tau, seen)
+        probes.append((tau, packing, seen))
+        return packing
 
     monkeypatch.setattr(oracle, "_pack", recording_pack)
+    return probes
+
+
+def test_max_min_partition_probes_each_threshold_once(monkeypatch):
+    # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
+    # the optimum 6 | 6, which is total // parts: the value costs no probe,
+    # and the witness one probe at 6, made when the partition is first read.
+    probes = _recording_pack(monkeypatch)
     vals = _vals([3, 3, 2, 2, 2])
     r = mf.mms(vals, 2, list(vals))
     assert r.value == 6
+    assert probes == []
     _check_witness(vals, 2, r)
-    assert thresholds == [6]
+    assert [(tau, seen) for tau, _, seen in probes] == [(6, None)]
+    probes.clear()
+    _check_witness(vals, 2, r)
+    assert probes == []
 
 
 def _witness_at(weights, parts, tau):
@@ -233,38 +246,137 @@ def _witness_at(weights, parts, tau):
     return cells
 
 
+def _goods_cells(goods, cells):
+    return tuple(frozenset(goods[i] for i in cell) for cell in cells)
+
+
 def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
-    # lcm-scaled rationals make an answer range about 1e10 wide; the climb
-    # raises its floor to each packing's own minimum cell, so only the probe
-    # just above the optimum fails, and the last success is the witness.
-    probes = []
-    memos = []
-    real_pack = oracle._pack
-
-    def recording_pack(weights, parts, tau, seen=None):
-        packing = real_pack(weights, parts, tau, seen)
-        probes.append((tau, packing is not None))
-        memos.append(seen)
-        return packing
-
-    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    # lcm-scaled rationals make an answer range about 1e10 wide.  The value
+    # climb probes only one above the best minimum cell seen so far, so only
+    # the probe just above the optimum fails, and no witness is built until
+    # the partition is read: then one more probe at the optimum builds it.
+    probes = _recording_pack(monkeypatch)
     rng = random.Random(53)
     for _ in range(20):
         values = [Fraction(rng.randint(1, 100), rng.randint(1, 100))
                   for _ in range(rng.randint(7, 11))]
         parts = rng.randint(3, 4)
-        weights, _ = oracle._scaled(values)
+        vals = _vals(values)
+        weights, denom = oracle._scaled(values)
         probes.clear()
-        memos.clear()
-        value, cells = oracle._max_min_partition(weights, parts)
+        r = mf.mms(vals, parts, list(vals))
+        value = r.value * denom
+        assert value.denominator == 1
+        value = value.numerator
 
-        taus = [tau for tau, _ in probes]
-        assert all(a < b for a, b in zip(taus, taus[1:])), probes
-        assert memos[0] is not None and all(seen is memos[0] for seen in memos)
-        assert [tau for tau, ok in probes if ok][-1] == value, (value, probes)
-        failed = [tau for tau, ok in probes if not ok]
-        assert failed in ([], [value + 1]), (value, probes)
-        assert cells == _witness_at(weights, parts, value)
+        # Each probe is one above the floor or the last packing's minimum
+        # cell (dumped items in cell 0), so thresholds strictly rise, and
+        # all of them share one memo.
+        desc = sorted(weights, reverse=True)
+        hi = sum(desc) // parts
+        lo = oracle._raise_min(oracle._lpt_cells(desc, parts), hi)
+        for tau, packing, seen in probes:
+            assert tau == lo + 1 <= hi, (lo, probes)
+            assert seen is not None and seen is probes[0][2]
+            if packing is None:
+                break
+            owners, dumped = packing
+            sums = [sum(desc[i] for i in owner) for owner in owners]
+            sums[0] += sum(desc[i] for i in dumped)
+            lo = min(sums)
+        assert lo == value, (value, probes)
+        # The climb ends at its first failure, at value + 1, or at
+        # total // parts with none.
+        failed = [tau for tau, packing, _ in probes if packing is None]
+        assert failed == ([] if value == hi else [value + 1]), (value, probes)
+        assert not failed or probes[-1][1] is None
+
+        expected = _goods_cells(list(vals), _witness_at(weights, parts, value))
+        probes.clear()
+        assert r.partition == expected
+        assert [(tau, seen) for tau, _, seen in probes] == [(value, None)]
+        probes.clear()
+        assert r.partition == expected
+        assert probes == []
+
+
+def test_values_never_build_a_witness(monkeypatch):
+    # instance_mms_values and verify read no partition, so every probe is a
+    # climb probe, made with the climb's memo: none runs after a search
+    # returns, and none at a search's value but the climb's own success
+    # there when its floor was one below it.
+    optima = {}
+    real_search = oracle._max_min_partition
+
+    def recording_search(weights, parts, goods):
+        value, witness = real_search(weights, parts, goods)
+        optima[tuple(sorted(filter(None, weights), reverse=True)), parts] = value
+        return value, witness
+
+    probes = []
+    real_pack = oracle._pack
+
+    def recording_pack(weights, parts, tau, seen=None):
+        probes.append((tuple(weights), parts, tau, seen is not None))
+        return real_pack(weights, parts, tau, seen)
+
+    monkeypatch.setattr(oracle, "_max_min_partition", recording_search)
+    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    rng = random.Random(61)
+    for seed in range(6):
+        inst = random_instance(seed, 3, 9, bound=100)
+        mf.instance_mms_values(inst)
+        mf.verify(inst, random_complete_allocation(rng, inst), Fraction(3, 4))
+    assert len(optima) == 18 and len(probes) >= 36
+    assert all(memo for *_, memo in probes)
+    at_optimum = [(desc, parts) for desc, parts, tau, _ in probes
+                  if tau == optima[desc, parts]]
+    assert len(at_optimum) == len(set(at_optimum)) * 2  # each searched twice
+
+
+@st.composite
+def _desc_weights(draw, min_value=1):
+    """Up to 12 non-increasing weights; half the draws are near-equal
+    (base +- 10%)."""
+    if draw(st.booleans()):
+        base = draw(st.integers(10, 1000))
+        item = st.integers(base - base // 10, base + base // 10)
+    else:
+        item = st.integers(min_value, 1000)
+    return sorted(draw(st.lists(item, min_size=1, max_size=12)), reverse=True)
+
+
+@settings(max_examples=200)
+@given(_desc_weights(min_value=0), st.integers(1, 6))
+def test_deferred_partition_is_the_witness_at_the_value(weights, parts):
+    # With fewer positive weights than parts the share is 0 and the witness
+    # spreads them one per cell, not _pack's all-dumped packing at 0.
+    vals = _vals(weights)
+    r = mf.mms(vals, parts, list(vals))
+    _check_witness(vals, parts, r)
+    if sum(w > 0 for w in weights) >= parts:
+        cells = _witness_at(weights, parts, r.value.numerator)
+        assert r.partition == _goods_cells(list(vals), cells)
+
+
+def test_results_replace_compare_and_hash():
+    # A searched result whose partition is not yet built behaves as one
+    # constructed with its partition: equal, equally hashed and replaceable.
+    vals = _vals([7, 5, 4, 3, 2])
+    searched = mf.mms(vals, 2, list(vals))
+    built = mf.MmsResult(Fraction(10), searched.partition)
+    assert mf.MmsResult(value=Fraction(10), partition=built.partition) == built
+    fresh = mf.mms(vals, 2, list(vals))
+    assert fresh == searched == built and hash(fresh) == hash(searched) == hash(built)
+    for result in (mf.mms(vals, 2, list(vals)), built):
+        halved = dataclasses.replace(result, value=result.value / 2)
+        assert halved == mf.MmsResult(Fraction(5), searched.partition)
+        assert halved != result and hash(halved) == hash((Fraction(5), searched.partition))
+        assert repr(halved) == f"MmsResult(value={Fraction(5)!r}, partition={searched.partition!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        searched.partition = ()
+    with pytest.raises(TypeError):
+        mf.MmsResult(Fraction(1))
 
 
 def _reference_pack(weights, suffix, parts, tau):
@@ -371,12 +483,7 @@ def _pack_inputs(draw):
     """Non-increasing positive weights, a part count and any threshold from
     0 up to one past total // parts; half the draws are near-equal
     (base +- 10%)."""
-    if draw(st.booleans()):
-        base = draw(st.integers(10, 1000))
-        item = st.integers(base - base // 10, base + base // 10)
-    else:
-        item = st.integers(1, 1000)
-    desc = sorted(draw(st.lists(item, min_size=1, max_size=12)), reverse=True)
+    desc = draw(_desc_weights())
     parts = draw(st.integers(2, 6))
     return desc, parts, draw(st.integers(0, sum(desc) // parts + 1))
 
@@ -467,11 +574,13 @@ GOLDEN_MMS = Path(__file__).parent / "data" / "golden_mms.json"
 # hardest case for the search, so their seeds are ones whose search took
 # under 0.1 s when the file was frozen.  Seeds from BIG_SEED up draw 19-20
 # goods; most near-equal seeds of that size ran past 35 s per search when
-# they were frozen, and the two kept here took 22 s and 0.9 s.
+# they were frozen, and the two kept here took 22 s and 0.9 s.  The int
+# seeds 102, 105 and 107, rational 100, 101, 104 and 105 and correlated 104,
+# 106 and 108 were frozen later, each at most 0.2 s per search.
 GOLDEN_MMS_SEEDS = {
-    "int": (0, 1, 2, 3, 5, 103, 104, 111),
-    "rational": (0, 6, 7, 8, 9, 103, 107),
-    "correlated": (20, 29, 30, 31, 34, 247, 249),
+    "int": (0, 1, 2, 3, 5, 102, 103, 104, 105, 107, 111),
+    "rational": (0, 6, 7, 8, 9, 100, 101, 103, 104, 105, 107),
+    "correlated": (20, 29, 30, 31, 34, 104, 106, 108, 247, 249),
     "pow2": (0, 1, 2, 3, 4),
     "few-valued": (0, 1, 2, 3, 4),
     "identical": (0, 1, 2, 3, 4),
@@ -528,7 +637,19 @@ def test_mms_matches_golden_file():
 
 
 if __name__ == "__main__":
-    # Regenerates the frozen file; only do so when a share is meant to change.
-    docs = {f"{kind}-{seed}": golden_mms_doc(*golden_mms_case(kind, seed))
-            for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds}
+    # Adds the cases of GOLDEN_MMS_SEEDS that the frozen file lacks, after
+    # the frozen ones.  A frozen case is never rewritten: if its recomputed
+    # share or witness differs, or its seed is gone, the case is named and
+    # nothing is written.
+    frozen = json.loads(GOLDEN_MMS.read_text(encoding="utf-8")) if GOLDEN_MMS.exists() else {}
+    cases = {f"{kind}-{seed}": (kind, seed)
+             for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds}
+    stale = [name for name in frozen if name not in cases
+             or golden_mms_doc(*golden_mms_case(*cases[name])) != frozen[name]]
+    if stale:
+        sys.exit(f"frozen golden cases differ or lost their seed: {', '.join(stale)}")
+    docs = dict(frozen)
+    for name, case in cases.items():
+        if name not in docs:
+            docs[name] = golden_mms_doc(*golden_mms_case(*case))
     GOLDEN_MMS.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
