@@ -14,24 +14,18 @@ Two independent routes are provided:
                    the value is found by climbing from a local-search
                    floor (the greedy LPT packing, improved by moving or
                    swapping items out of its emptiest cell).  Each probe
-                   asks for one more than the best minimum cell witnessed
-                   so far, so thresholds strictly rise and only the probe
-                   that proves the optimum fails.  The climb builds no
-                   witness: the partition is ``_pack`` at the optimum,
-                   run with a fresh memo on its first read, so a caller
-                   that reads only values (rule targets, verification)
-                   never pays for it.  Each feasibility probe is a
-                   complete depth-first packing with
-                   symmetry pruning, an item-count bound (each open cell
-                   needs at least as many items as the largest remaining
-                   ones take to fill it) and a table of failed states that
-                   every probe of one climb shares.  The cheap cuts (too
-                   few items or too little value left, a deficit already
-                   met) run in the parent's branch loop, so a recursive
-                   call is made only for a state that can still be packed
-                   as far as those cuts can tell.  The search state is the
-                   memo key; the cells are rebuilt from the success path,
-                   each item joining the lowest-indexed cell with its sum.
+                   asks ``_covers`` for one more than the best minimum
+                   cell witnessed so far, so thresholds strictly rise and
+                   only the probe that proves the optimum fails.
+                   ``_covers`` is a bin-completion search: it fills one
+                   cell at a time, opened by the largest weight left and
+                   completed by smaller ones, with a value bound, a
+                   cell-size bound and a table of failed states that every
+                   probe of one climb shares.  The climb builds no
+                   witness: the partition is ``_pack`` at the optimum, a
+                   depth-first packing with a fixed branch order, run on
+                   the partition's first read, so a caller that reads only
+                   values (rule targets, verification) never pays for it.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -97,8 +91,8 @@ class MmsResult:
     The partition always has exactly ``parts`` cells (some may be empty
     when there are fewer goods than parts) and its minimum cell value
     equals ``value``.  ``mms`` defers it: its search finds the value
-    without a witness, and the partition is built by one more ``_pack``
-    run on its first read (in the package only ``normalize`` and the
+    without a witness, and the partition is built by ``_pack`` at the
+    value on its first read (in the package only ``normalize`` and the
     CLI's ``mms`` command read it), then kept.  It may be given as a
     tuple, or as a zero-argument callable that returns one.
     """
@@ -192,20 +186,121 @@ def _raise_min(cells: list, cap: int) -> int:
         sums[b] -= y - x
 
 
-def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None):
+def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
+    """Split the weights into ``parts`` cells each summing to >= tau, by bin
+    completion: returns the cells as lists of weights, or None.
+
+    ``desc`` must be positive and non-increasing.  One cell is filled at a
+    time: the largest remaining weight opens it (some cell holds it, and
+    cells are unordered), and smaller weights complete it in descending order, the cell cut off as
+    soon as it reaches tau.  Of the weights that would reach tau at once
+    only the smallest is tried (a split closed by a larger one stays a
+    split with the two swapped), and a weight equal to a skipped one is
+    skipped too.  The last cell takes every weight left.
+
+    ``seen`` holds the failed (remaining weights, cells left) states as int
+    keys, filled in place.  A state with no split at tau has none at any
+    higher threshold, so one set may be shared by the probes of one search
+    as long as their thresholds never fall.  Equal weights are always taken
+    first to last, so each remaining multiset has one key.
+    """
+    if tau <= 0:
+        return [list(desc)] + [[] for _ in range(parts - 1)]
+    n = len(desc)
+    if n < parts or sum(desc) < tau * parts:
+        return None
+    starts = []  # the remaining weights at each cell start, as bit masks
+    if not _cover(desc, (1 << n) - 1, parts, tau, seen, starts):
+        return None
+    starts.reverse()  # appended from the last cell back
+    masks = [a & ~b for a, b in zip(starts, starts[1:])] + starts[-1:]
+    return [[desc[i] for i in range(n) if cell >> i & 1] for cell in masks]
+
+
+def _cover(desc, mask, k, tau, seen, starts) -> bool:
+    """Whether the weights ``desc[i]`` with bit i set in ``mask``, which sum
+    to at least k * tau, split into k cells each >= tau; on success each
+    cell start's mask is appended to ``starts``, the last cell first."""
+    if k == 1:
+        starts.append(mask)
+        return True
+    key = mask | k << len(desc)
+    if key in seen:
+        return False
+    rest = [i for i in range(len(desc)) if mask >> i & 1]
+    ws = [desc[i] for i in rest]
+    m = len(ws)
+    suffix = [0] * (m + 1)
+    for p in range(m - 1, -1, -1):
+        suffix[p] = suffix[p + 1] + ws[p]
+    # Cell-size bound: every cell needs at least c weights, the fewest of
+    # the largest that reach tau, and at most t cells can make do with c,
+    # since any t cells of c weights take t * tau from the c * t largest.
+    total = suffix[0]
+    c = 1
+    while total - suffix[c] < tau:
+        c += 1
+    t = 1
+    while t < k and c * (t + 1) <= m and total - suffix[c * (t + 1)] >= (t + 1) * tau:
+        t += 1
+    if (c + 1) * k - t > m:
+        seen.add(key)
+        return False
+    slack = total - k * tau  # what the cells may overshoot tau by in all
+    w = ws[0]
+    if w >= tau:
+        found = w - tau <= slack and _cover(desc, mask & ~(1 << rest[0]), k - 1, tau,
+                                            seen, starts)
+    else:
+        found = _complete(desc, rest, ws, suffix, 1, tau - w, slack,
+                          mask & ~(1 << rest[0]), k, tau, seen, starts)
+    if found:
+        starts.append(mask)
+        return True
+    seen.add(key)
+    return False
+
+
+def _complete(desc, rest, ws, suffix, j, deficit, slack, mask, k, tau, seen,
+              starts) -> bool:
+    """Complete the open cell, short by ``deficit``, from ``ws[j:]`` (the
+    weights at indices ``rest[j:]``), then cover what is left in k - 1
+    cells; ``mask`` is what is left with the open cell's weights taken."""
+    m = len(ws)
+    p = j
+    while p < m and ws[p] >= deficit:
+        p += 1
+    if p > j and ws[p - 1] - deficit <= slack:
+        # The smallest weight that closes the cell, first of its equal run.
+        w = ws[p - 1]
+        q = p - 1
+        while q > j and ws[q - 1] == w:
+            q -= 1
+        if _cover(desc, mask & ~(1 << rest[q]), k - 1, tau, seen, starts):
+            return True
+    last = 0
+    for p in range(p, m):
+        if suffix[p] < deficit:
+            break
+        w = ws[p]
+        if w == last:
+            continue
+        last = w
+        if _complete(desc, rest, ws, suffix, p + 1, deficit - w, slack,
+                     mask & ~(1 << rest[p]), k, tau, seen, starts):
+            return True
+    return False
+
+
+def _pack(weights: Sequence[int], parts: int, tau: int):
     """Split every item into ``parts`` cells, each cell summing to >= tau.
 
     ``weights`` must be positive and non-increasing.  Returns
     (cells as lists of item indices, dumped item indices) or None.
     Dumped items were placed after every cell had already reached tau,
-    so they may later be appended to any cell.
-
-    ``seen`` is the set of failed states, filled in place (default: a
-    fresh set).  A key holds only open sums, all below tau, and a state
-    with no packing at tau has none at any higher threshold, so one set
-    may be shared by probes of the same weights and parts whose thresholds
-    never fall.  It only prunes states with no packing, so it never changes the
-    return value.  A set shared across a falling threshold is unsound.
+    so they may later be appended to any cell.  Only ``_witness`` calls
+    it: the value search asks ``_covers``, which answers feasibility
+    faster but whose split depends on its own branch order.
 
     The return value is the first success of a fixed branch order: the
     item goes to the open cells by descending sum, ties to the lower
@@ -237,8 +332,7 @@ def _pack(weights: Sequence[int], parts: int, tau: int, seen: set | None = None)
     if m < parts or total < tau * parts:
         return None
     path = []  # the open sum each item joined, filled on the way back from a success
-    if seen is None:
-        seen = set()
+    seen = set()  # failed states
 
     # ``opens``: the open cell sums (all below tau) in descending order;
     # ``deficit``: what they lack of tau in all.
@@ -323,9 +417,9 @@ def _witness(goods: list, desc: list, parts: int, value: int, positive: list,
 
     ``desc`` holds the positive weights, non-increasing, at the indices
     ``positive`` of ``goods``; ``zeros`` are the indices of the zero
-    weights.  The cells are ``_pack`` at the value with a fresh memo (a
-    memo that saw the failing probe at value + 1 is unsound at the value),
-    with its dumped items and the zero weights in cell 0.  With fewer
+    weights.  The cells are ``_pack`` at the value, whose fixed branch
+    order makes them the same however the value was found, with its
+    dumped items and the zero weights in cell 0.  With fewer
     positive weights than parts some cell is forced to 0: the positives are
     spread one per cell and the zeros parked in the last cell, so the
     minimum is witnessed exactly.
@@ -346,9 +440,8 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
 
     The value is found by a climb that builds no witness.  It starts at a
     local-search floor (the LPT packing improved by ``_raise_min``) and
-    probes ``_pack`` only one above the best minimum cell seen so far; a
-    success raises that floor to the packing's own minimum cell (dumped
-    items counted in cell 0, as the witness builds it).  Feasibility is
+    asks ``_covers`` only for one above the best minimum cell seen so far;
+    a split raises that floor to its own smallest cell.  Feasibility is
     monotone in the threshold, so the first failed probe, or a floor at
     total // parts, proves the floor optimal.  Thresholds strictly rise,
     so every probe of one search shares one failed-state memo and none is
@@ -370,13 +463,10 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
         lo = _raise_min(_lpt_cells(desc, parts), hi)
         seen = set()
         while lo < hi:
-            probe = _pack(desc, parts, lo + 1, seen)
-            if probe is None:
+            cells = _covers(desc, parts, lo + 1, seen)
+            if cells is None:
                 break
-            owners, dumped = probe
-            sums = [sum(desc[i] for i in owner) for owner in owners]
-            sums[0] += sum(desc[i] for i in dumped)
-            lo = min(sums)
+            lo = min(map(sum, cells))
     return lo, partial(_witness, goods, desc, parts, lo, positive, zeros)
 
 

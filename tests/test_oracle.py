@@ -204,34 +204,36 @@ def test_mms_score_requires_complete_allocation():
         mf.verify(inst, partial, Fraction(3, 4))
 
 
-def _recording_pack(monkeypatch) -> list:
-    """Record (tau, packing, memo) for every ``_pack`` call from the oracle."""
+def _recording(monkeypatch, name: str) -> list:
+    """Record (tau, result, memo) for every call of ``oracle.<name>``
+    (``_covers`` or ``_pack``; ``_pack`` takes no memo, recorded as None)."""
     probes = []
-    real_pack = oracle._pack
+    real = getattr(oracle, name)
 
-    def recording_pack(weights, parts, tau, seen=None):
-        packing = real_pack(weights, parts, tau, seen)
-        probes.append((tau, packing, seen))
-        return packing
+    def recording(weights, parts, tau, *seen):
+        result = real(weights, parts, tau, *seen)
+        probes.append((tau, result, *seen) if seen else (tau, result, None))
+        return result
 
-    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    monkeypatch.setattr(oracle, name, recording)
     return probes
 
 
 def test_max_min_partition_probes_each_threshold_once(monkeypatch):
     # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
     # the optimum 6 | 6, which is total // parts: the value costs no probe,
-    # and the witness one probe at 6, made when the partition is first read.
-    probes = _recording_pack(monkeypatch)
+    # and the witness one _pack at 6, made when the partition is first read.
+    probes = _recording(monkeypatch, "_covers")
+    packs = _recording(monkeypatch, "_pack")
     vals = _vals([3, 3, 2, 2, 2])
     r = mf.mms(vals, 2, list(vals))
     assert r.value == 6
-    assert probes == []
+    assert probes == packs == []
     _check_witness(vals, 2, r)
-    assert [(tau, seen) for tau, _, seen in probes] == [(6, None)]
-    probes.clear()
+    assert probes == [] and [tau for tau, _, _ in packs] == [6]
+    packs.clear()
     _check_witness(vals, 2, r)
-    assert probes == []
+    assert packs == []
 
 
 def _witness_at(weights, parts, tau):
@@ -252,10 +254,11 @@ def _goods_cells(goods, cells):
 
 def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # lcm-scaled rationals make an answer range about 1e10 wide.  The value
-    # climb probes only one above the best minimum cell seen so far, so only
-    # the probe just above the optimum fails, and no witness is built until
-    # the partition is read: then one more probe at the optimum builds it.
-    probes = _recording_pack(monkeypatch)
+    # climb probes _covers only one above the best minimum cell seen so far,
+    # so only the probe just above the optimum fails, and no witness is
+    # built until the partition is read: then one _pack at the optimum.
+    probes = _recording(monkeypatch, "_covers")
+    packs = _recording(monkeypatch, "_pack")
     rng = random.Random(53)
     for _ in range(20):
         values = [Fraction(rng.randint(1, 100), rng.randint(1, 100))
@@ -268,43 +271,42 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         value = r.value * denom
         assert value.denominator == 1
         value = value.numerator
+        assert packs == []
 
-        # Each probe is one above the floor or the last packing's minimum
-        # cell (dumped items in cell 0), so thresholds strictly rise, and
-        # all of them share one memo.
+        # Each probe is one above the floor or the last split's smallest
+        # cell, so thresholds strictly rise, and all of them share one memo.
         desc = sorted(weights, reverse=True)
         hi = sum(desc) // parts
         lo = oracle._raise_min(oracle._lpt_cells(desc, parts), hi)
-        for tau, packing, seen in probes:
+        for tau, cells, seen in probes:
             assert tau == lo + 1 <= hi, (lo, probes)
             assert seen is not None and seen is probes[0][2]
-            if packing is None:
+            if cells is None:
                 break
-            owners, dumped = packing
-            sums = [sum(desc[i] for i in owner) for owner in owners]
-            sums[0] += sum(desc[i] for i in dumped)
-            lo = min(sums)
+            lo = min(map(sum, cells))
         assert lo == value, (value, probes)
         # The climb ends at its first failure, at value + 1, or at
         # total // parts with none.
-        failed = [tau for tau, packing, _ in probes if packing is None]
+        failed = [tau for tau, cells, _ in probes if cells is None]
         assert failed == ([] if value == hi else [value + 1]), (value, probes)
         assert not failed or probes[-1][1] is None
 
         expected = _goods_cells(list(vals), _witness_at(weights, parts, value))
         probes.clear()
+        packs.clear()
         assert r.partition == expected
-        assert [(tau, seen) for tau, _, seen in probes] == [(value, None)]
-        probes.clear()
+        assert probes == [] and [tau for tau, _, _ in packs] == [value]
+        packs.clear()
         assert r.partition == expected
-        assert probes == []
+        assert packs == []
 
 
 def test_values_never_build_a_witness(monkeypatch):
-    # instance_mms_values and verify read no partition, so every probe is a
-    # climb probe, made with the climb's memo: none runs after a search
-    # returns, and none at a search's value but the climb's own success
-    # there when its floor was one below it.
+    # instance_mms_values and verify read no partition, so they make no
+    # _pack call at all: every probe is a climb's _covers probe, made with
+    # the climb's memo, and none runs after a search returns.  Each search
+    # probes its value at most once, the climb's own success there when its
+    # floor was one below it.
     optima = {}
     real_search = oracle._max_min_partition
 
@@ -314,20 +316,22 @@ def test_values_never_build_a_witness(monkeypatch):
         return value, witness
 
     probes = []
-    real_pack = oracle._pack
+    real_covers = oracle._covers
 
-    def recording_pack(weights, parts, tau, seen=None):
-        probes.append((tuple(weights), parts, tau, seen is not None))
-        return real_pack(weights, parts, tau, seen)
+    def recording_covers(desc, parts, tau, seen):
+        probes.append((tuple(desc), parts, tau, seen is not None))
+        return real_covers(desc, parts, tau, seen)
 
+    packs = _recording(monkeypatch, "_pack")
     monkeypatch.setattr(oracle, "_max_min_partition", recording_search)
-    monkeypatch.setattr(oracle, "_pack", recording_pack)
+    monkeypatch.setattr(oracle, "_covers", recording_covers)
     rng = random.Random(61)
     for seed in range(6):
         inst = random_instance(seed, 3, 9, bound=100)
         mf.instance_mms_values(inst)
         mf.verify(inst, random_complete_allocation(rng, inst), Fraction(3, 4))
     assert len(optima) == 18 and len(probes) >= 36
+    assert packs == []
     assert all(memo for *_, memo in probes)
     at_optimum = [(desc, parts) for desc, parts, tau, _ in probes
                   if tau == optima[desc, parts]]
@@ -433,12 +437,23 @@ def _reference_pack(weights, suffix, parts, tau):
     return None
 
 
-def _assert_pack_matches_reference(desc, parts, tau, seen=None):
-    """``_pack`` with a fresh memo, or with ``seen`` when one is given,
-    returns what the reference returns with a fresh memo."""
-    suffix = [sum(desc[i:]) for i in range(len(desc) + 1)]
-    assert oracle._pack(desc, parts, tau, seen) == \
-        _reference_pack(desc, suffix, parts, tau), (desc, parts, tau)
+def _reference(desc, parts, tau):
+    return _reference_pack(desc, [sum(desc[i:]) for i in range(len(desc) + 1)], parts, tau)
+
+
+def _assert_pack_matches_reference(desc, parts, tau):
+    assert oracle._pack(desc, parts, tau) == _reference(desc, parts, tau), (desc, parts, tau)
+
+
+def _assert_covers_matches_reference(desc, parts, tau, seen):
+    """``_covers`` with the memo ``seen`` finds a split exactly when the
+    reference packing exists, and its cells split ``desc`` into ``parts``
+    cells each summing to at least tau."""
+    cells = oracle._covers(desc, parts, tau, seen)
+    assert (cells is None) == (_reference(desc, parts, tau) is None), (desc, parts, tau)
+    if cells is not None:
+        assert len(cells) == parts and all(sum(cell) >= tau for cell in cells)
+        assert sorted(w for cell in cells for w in cell) == sorted(desc)
 
 
 # Golden cases cheap enough for the reference at every threshold.  The
@@ -468,14 +483,14 @@ def test_pack_matches_reference_at_every_threshold():
             _assert_pack_matches_reference(desc, parts, tau)
 
 
-def test_pack_with_one_memo_over_rising_thresholds_matches_reference():
+def test_covers_with_one_memo_over_rising_thresholds_matches_reference():
     # A climb shares one failed-state memo across its probes; sharing it
-    # must not change any probe's return value.
+    # must not change any probe's answer.
     for kind, seed in REFERENCE_CASES:
         desc, parts, taus = _lpt_thresholds(kind, seed)
         seen = set()
         for tau in taus:
-            _assert_pack_matches_reference(desc, parts, tau, seen)
+            _assert_covers_matches_reference(desc, parts, tau, seen)
 
 
 @st.composite
@@ -495,13 +510,41 @@ def test_pack_matches_reference_on_any_input(inputs):
 
 
 @settings(max_examples=300)
+@given(_pack_inputs())
+def test_covers_matches_reference_on_any_input(inputs):
+    _assert_covers_matches_reference(*inputs, set())
+
+
+@settings(max_examples=300)
 @given(_pack_inputs(), st.data())
-def test_pack_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
+def test_covers_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
     desc, parts, tau = inputs
     t1 = data.draw(st.integers(0, tau), label="t1")
     seen = set()
-    oracle._pack(desc, parts, t1, seen)
-    _assert_pack_matches_reference(desc, parts, tau, seen)
+    oracle._covers(desc, parts, t1, seen)
+    _assert_covers_matches_reference(desc, parts, tau, seen)
+
+
+def test_covers_cell_size_bound_refutes_near_equal_weights(monkeypatch):
+    # 3 cells of at least 9 from [5, 4, 4, 4, 4, 4, 4]: the value suffices
+    # (29 >= 27) and every cell needs only 2 weights (5 + 4), but only one
+    # cell can make do with 2, since two such cells would take 18 from the
+    # four largest (17).  The others need 3 each: 8 weights > 7.  The bound
+    # refutes the root before any cell is completed.
+    completions = []
+    real_complete = oracle._complete
+
+    def recording_complete(*args):
+        completions.append(args)
+        return real_complete(*args)
+
+    monkeypatch.setattr(oracle, "_complete", recording_complete)
+    desc = [5, 4, 4, 4, 4, 4, 4]
+    assert oracle._covers(desc, 3, 9, set()) is None
+    assert completions == []
+    assert _reference(desc, 3, 9) is None
+    cells = oracle._covers(desc, 3, 8, set())
+    assert sorted(map(sum, cells)) == [8, 9, 12]
 
 
 # (valuation, good set, what the ValidationError says)
