@@ -192,11 +192,11 @@ def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
 
     ``desc`` must be positive and non-increasing.  One cell is filled at a
     time: the largest remaining weight opens it (some cell holds it, and
-    cells are unordered), and smaller weights complete it in descending order, the cell cut off as
-    soon as it reaches tau.  Of the weights that would reach tau at once
-    only the smallest is tried (a split closed by a larger one stays a
-    split with the two swapped), and a weight equal to a skipped one is
-    skipped too.  The last cell takes every weight left.
+    cells are unordered), and smaller weights complete it in descending
+    order, the cell cut off as soon as it reaches tau.  Of the weights that
+    would reach tau at once only the smallest is tried (a split closed by a
+    larger one stays a split with the two swapped), and a weight equal to a
+    skipped one is skipped too.  The last cell takes every weight left.
 
     ``seen`` holds the failed (remaining weights, cells left) states as int
     keys, filled in place.  A state with no split at tau has none at any
@@ -249,8 +249,8 @@ def _cover(desc, mask, k, tau, seen, starts) -> bool:
     slack = total - k * tau  # what the cells may overshoot tau by in all
     w = ws[0]
     if w >= tau:
-        found = w - tau <= slack and _cover(desc, mask & ~(1 << rest[0]), k - 1, tau,
-                                            seen, starts)
+        found = w - tau <= slack and _cover(desc, mask & ~(1 << rest[0]), k - 1,
+                                            tau, seen, starts)
     else:
         found = _complete(desc, rest, ws, suffix, 1, tau - w, slack,
                           mask & ~(1 << rest[0]), k, tau, seen, starts)

@@ -622,7 +622,7 @@ GOLDEN_MMS = Path(__file__).parent / "data" / "golden_mms.json"
 # 106 and 108 were frozen later, each at most 0.2 s per search.  Correlated
 # 100, 101, 102, 103, 105 and 107 (near-equal, at most a few ms each) were
 # frozen before the value search moved to bin completion: without its
-# cell-size bound that search takes seconds on them.
+# cell-size bound that search is tens to hundreds of times slower on them.
 GOLDEN_MMS_SEEDS = {
     "int": (0, 1, 2, 3, 5, 102, 103, 104, 105, 107, 111),
     "rational": (0, 6, 7, 8, 9, 100, 101, 103, 104, 105, 107),
