@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,7 +245,19 @@ def test_solves_match_golden_file():
 
 
 if __name__ == "__main__":
-    # Regenerates the frozen file; only do so when a solve is meant to change.
-    docs = {name: golden_solve_doc(inst)
-            for name, inst in golden_solve_instances().items()}
+    # Adds the cases of golden_solve_instances() that the frozen file lacks,
+    # after the frozen ones.  A frozen case is never rewritten: if its
+    # recomputed document differs, or its instance is gone, the case is
+    # named and nothing is written.
+    frozen = (json.loads(GOLDEN_SOLVES.read_text(encoding="utf-8"))
+              if GOLDEN_SOLVES.exists() else {})
+    instances = golden_solve_instances()
+    stale = [name for name in frozen if name not in instances
+             or golden_solve_doc(instances[name]) != frozen[name]]
+    if stale:
+        sys.exit(f"frozen golden solves differ or lost their instance: {', '.join(stale)}")
+    docs = dict(frozen)
+    for name, inst in instances.items():
+        if name not in docs:
+            docs[name] = golden_solve_doc(inst)
     GOLDEN_SOLVES.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
