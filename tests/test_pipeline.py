@@ -200,7 +200,8 @@ GOLDEN_SOLVES = Path(__file__).parent / "data" / "golden_solves.json"
 
 
 def golden_solve_instances() -> dict:
-    """The frozen solve inputs, one per path through approx_mms."""
+    """The frozen solve inputs: one per path through approx_mms, and two at
+    the north-star size (n = 6, m = 18 and 20) that reduce and fill bags."""
     from helpers import dummy_survives_to_bagfill_instance, rule4_dummy_instance
 
     rows = random_instance(5, 2, 8, bound=30).valuations
@@ -220,6 +221,8 @@ def golden_solve_instances() -> dict:
         "tight-n3": mf.gen_tight_example(3),
         "random-n3": random_instance(10, 3, 11, bound=30),
         "random-n4": random_instance(4, 4, 14, bound=30),
+        "north-star-n6-m18": random_instance(1, 6, 18, bound=1000),
+        "north-star-n6-m20": random_instance(1, 6, 20, bound=1000),
     }
 
 
