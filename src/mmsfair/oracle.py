@@ -220,7 +220,13 @@ def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
 def _cover(desc, mask, k, tau, seen, starts) -> bool:
     """Whether the weights ``desc[i]`` with bit i set in ``mask``, which sum
     to at least k * tau, split into k cells each >= tau; on success each
-    cell start's mask is appended to ``starts``, the last cell first."""
+    cell start's mask is appended to ``starts``, the last cell first.
+
+    The memo key keeps k, so the shared memo's soundness does not rest on
+    the unproven claim that a mask that failed with k cells never returns
+    with fewer at a higher threshold: once the slack reaches tau (tau up to
+    total // (parts + 1)), one mask can close different numbers of cells.
+    """
     if k == 1:
         starts.append(mask)
         return True
@@ -316,11 +322,11 @@ def _pack(weights: Sequence[int], parts: int, tau: int):
     item; fewer items than parts, or a total below tau * parts, fails at
     once; and the branch loop recurses into a child only if it keeps at
     least one item per open cell and enough value for its deficit, and
-    succeeds in place when the item closes the last open cell.  A call
-    looks up the memo and applies the item-count bound.  Its state
-    ``(i, opens, deficit)`` is its memo key and all it reads besides the
-    memo.  A success records the open sum each item joined, and the cells
-    are replayed from that path by the tie rule above.
+    succeeds in place when the item closes the last open cell.  A call of
+    ``_place`` looks up the memo and applies the item-count bound.  Its
+    state ``(i, opens, deficit)`` is its memo key and all it reads besides
+    the memo.  A success records the open sum each item joined, and the
+    cells are replayed from that path by the tie rule above.
     """
     m = len(weights)
     if tau <= 0:
@@ -328,87 +334,83 @@ def _pack(weights: Sequence[int], parts: int, tau: int):
     prefix = [0] * (m + 1)
     for i, w in enumerate(weights):
         prefix[i + 1] = prefix[i] + w
-    total = prefix[m]
-    if m < parts or total < tau * parts:
+    if m < parts or prefix[m] < tau * parts:
         return None
-    path = []  # the open sum each item joined, filled on the way back from a success
-    seen = set()  # failed states
-
-    # ``opens``: the open cell sums (all below tau) in descending order;
-    # ``deficit``: what they lack of tau in all.
-    def rec(i: int, opens: list, deficit: int) -> bool:
-        key = (i, *opens)
-        if key in seen:
-            return False
-        # Item-count bound: a cell short by d needs at least as many items
-        # as the largest remaining ones take to reach d.  Each open cell is
-        # short by at least as much as the one before it, so each search
-        # starts where the last one ended.
-        left = m - i
-        count = len(opens)
-        need = -i * count
-        base = prefix[i] + tau
-        last = -1
-        k = i
-        for s in opens:
-            if s != last:
-                last = s
-                k = bisect_left(prefix, base - s, k)
-            need += k
-        if need > left:
-            seen.add(key)
-            return False
-        w = weights[i]
-        rest = total - prefix[i + 1]
-        cut = tau - w
-        last = tau  # above every open sum
-        for t, s in enumerate(opens):
-            if s == last:
-                continue
-            if s >= cut:
-                # The item closes this cell (these sums come first), so the
-                # child has one item and one open cell fewer: only the value
-                # check can cut it, and its deficit is the other cells'.
-                last = s
-                d = deficit - tau + s
-                if d > rest:
-                    continue
-                if d == 0:
-                    path.append(s)
-                    return True
-                child = opens[:t] + opens[t + 1:]
-            else:
-                if last >= cut:
-                    # The first cell the item leaves open.  Every such cell
-                    # gives the child the same deficit and open-cell count,
-                    # so one check covers them all.
-                    d = deficit - w
-                    if left <= count or d > rest:
-                        break
-                last = s
-                child = opens[:]
-                child[t] = s + w
-                child.sort(reverse=True)
-            if rec(i + 1, child, d):
-                path.append(s)
-                return True
-        seen.add(key)
-        return False
-
-    found = rec(0, [0] * parts, tau * parts)
-    # ``rec`` refers to itself through its closure; without this the cycle,
-    # and the memo it holds, would live until the next full collection.
-    del rec
-    if not found:
+    path = []  # the open sum each item joined, appended from the last item back
+    if not _place(weights, prefix, tau, 0, [0] * parts, tau * parts, set(), path):
         return None
     # Closed cells sit at or above tau, so no open sum matches them.
     cells = [0] * parts
     owners = [[] for _ in range(parts)]
-    for i, s in enumerate(reversed(path)):  # appended from the last item back
+    for i, s in enumerate(reversed(path)):
         j = cells.index(s)
         cells[j] = s + weights[i]
         owners[j].append(i)
     return owners, list(range(len(path), m))
+
+
+def _place(weights, prefix, tau, i, opens, deficit, seen, path) -> bool:
+    """Whether ``weights[i:]`` complete ``_pack``'s open cells, whose sums
+    ``opens`` (below tau, descending) lack ``deficit`` of tau in all.  On
+    success the open sum each item joined is appended to ``path``, the
+    last item first; ``seen`` holds the failed states."""
+    key = (i, *opens)
+    if key in seen:
+        return False
+    # Item-count bound: a cell short by d needs at least as many items as
+    # the largest remaining ones take to reach d.  Each open cell is short
+    # by at least as much as the one before it, so each search starts where
+    # the last one ended.
+    left = len(weights) - i
+    count = len(opens)
+    need = -i * count
+    base = prefix[i] + tau
+    last = -1
+    k = i
+    for s in opens:
+        if s != last:
+            last = s
+            k = bisect_left(prefix, base - s, k)
+        need += k
+    if need > left:
+        seen.add(key)
+        return False
+    w = weights[i]
+    rest = prefix[-1] - prefix[i + 1]
+    cut = tau - w
+    last = tau  # above every open sum
+    for t, s in enumerate(opens):
+        if s == last:
+            continue
+        if s >= cut:
+            # The item closes this cell (these sums come first), so the
+            # child has one item and one open cell fewer: only the value
+            # check can cut it, and its deficit is the other cells'.
+            last = s
+            d = deficit - tau + s
+            if d > rest:
+                continue
+            if d == 0:
+                path.append(s)
+                return True
+            child = opens[:t] + opens[t + 1:]
+        else:
+            if last >= cut:
+                # The first cell the item leaves open.  Every such cell
+                # gives the child the same deficit and open-cell count, so
+                # one check covers them all.
+                d = deficit - w
+                if left <= count or d > rest:
+                    break
+            last = s
+            child = opens[:]
+            child[t] = s + w
+            child.sort(reverse=True)
+        if _place(weights, prefix, tau, i + 1, child, d, seen, path):
+            path.append(s)
+            return True
+    seen.add(key)
+    return False
 
 
 def _witness(goods: list, desc: list, parts: int, value: int, positive: list,

@@ -70,8 +70,6 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
     anything else is parsed as an explicit rational, which must lie in
     (0, improved bound] or it is rejected (no guarantee would hold above).
     """
-    if n < 1:
-        raise ContractError(f"agent count must be >= 1, got {n}")
     bound = alpha_limit(n)
     if mode == "classic":
         alpha = Fraction(3, 4)

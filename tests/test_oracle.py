@@ -1,6 +1,7 @@
 """MMS oracle: frozen examples, cross-oracle checks, invariants, capacity."""
 
 import dataclasses
+import gc
 import json
 import random
 import sys
@@ -681,6 +682,37 @@ def test_mms_matches_golden_file():
         frozen = mf.MmsResult(value=mf.parse_value(expected["mms"]),
                               partition=tuple(frozenset(c) for c in expected["partition"]))
         _check_witness(vals, expected["parts"], frozen)
+
+
+def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
+    # A partition read that fails part-way (a MemoryError from an unbounded
+    # memo, say) frees its memo as its frames unwind: nothing is left for
+    # the cyclic collector.
+    parts, values = golden_mms_case("int", 100)
+    vals = _vals(values)
+    result = mf.mms(vals, parts, list(vals))
+    calls = 0
+    real = oracle.bisect_left
+
+    def failing_bisect_left(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 20_000:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "bisect_left", failing_bisect_left)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            result.partition
+        except MemoryError:
+            pass
+        assert calls > 20_000
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":
