@@ -88,11 +88,12 @@ class _Deferred:
 class MmsResult:
     """An exact maximin-share value plus one witnessing partition.
 
-    The partition always has exactly ``parts`` cells (some may be empty
-    when there are fewer goods than parts) and its minimum cell value
-    equals ``value``.  ``mms`` defers it: its search finds the value
-    without a witness, and the partition is built by ``_pack`` at the
-    value on its first read (in the package only ``normalize`` and the
+    The partition always has exactly ``parts`` cells and its minimum cell
+    value equals ``value``.  When fewer goods than parts have positive
+    value, the value is 0 and some cells are empty (a searched partition
+    has every good in cell 0).  ``mms`` defers it: its search finds the
+    value without a witness, and the partition is built by ``_pack`` at
+    the value on its first read (in the package only ``normalize`` and the
     CLI's ``mms`` command read it), then kept.  It may be given as a
     tuple, or as a zero-argument callable that returns one.
     """
@@ -413,27 +414,20 @@ def _place(weights, prefix, tau, i, opens, deficit, seen, path) -> bool:
     return False
 
 
-def _witness(goods: list, desc: list, parts: int, value: int, positive: list,
-             zeros: list) -> tuple:
+def _witness(goods: list, order: list, desc: list, parts: int, value: int) -> tuple:
     """The canonical witness of the share ``value``, as frozensets of goods.
 
-    ``desc`` holds the positive weights, non-increasing, at the indices
-    ``positive`` of ``goods``; ``zeros`` are the indices of the zero
-    weights.  The cells are ``_pack`` at the value, whose fixed branch
-    order makes them the same however the value was found, with its
-    dumped items and the zero weights in cell 0.  With fewer
-    positive weights than parts some cell is forced to 0: the positives are
-    spread one per cell and the zeros parked in the last cell, so the
-    minimum is witnessed exactly.
+    ``order`` is the goods' indices by non-increasing weight; its prefix
+    holds the positive weights ``desc`` and its tail the zero weights.  The
+    cells are ``_pack`` at the value, whose fixed branch order makes them
+    the same however the value was found, with its dumped items and the
+    zero weights in cell 0.  At a value of 0 (fewer positive weights than
+    parts) ``_pack`` dumps every item, so every good is in cell 0.
     """
-    if len(desc) < parts:
-        cells = [[i] for i in positive] + [[] for _ in range(parts - len(desc))]
-        cells[-1].extend(zeros)
-    else:
-        owners, dumped = _pack(desc, parts, value)
-        cells = [[positive[i] for i in owner] for owner in owners]
-        cells[0].extend(positive[i] for i in dumped)
-        cells[0].extend(zeros)
+    owners, dumped = _pack(desc, parts, value)
+    cells = [[order[i] for i in owner] for owner in owners]
+    cells[0].extend(order[i] for i in dumped)
+    cells[0].extend(order[len(desc):])
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
 
@@ -448,7 +442,8 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     total // parts, proves the floor optimal.  Thresholds strictly rise,
     so every probe of one search shares one failed-state memo and none is
     probed twice; a floor that is already optimal costs at most one
-    failing probe.
+    failing probe.  With fewer positive weights than parts the floor is 0,
+    and a probe at 1 ends the climb at ``_covers``'s root check.
 
     ``witness`` is a zero-argument callable that returns the partition of
     ``goods`` (``_witness``: ``_pack`` at the value).  It holds the weights
@@ -456,25 +451,19 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     """
     # A reverse sort is stable: equal weights keep their index order.
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    positive = [i for i in order if weights[i] > 0]
-    zeros = [i for i in order if weights[i] == 0]
-    desc = [weights[i] for i in positive]
-    lo = 0
-    if len(desc) >= parts:
-        hi = sum(desc) // parts
-        lo = _raise_min(_lpt_cells(desc, parts), hi)
-        seen = set()
-        while lo < hi:
-            cells = _covers(desc, parts, lo + 1, seen)
-            if cells is None:
-                break
-            lo = min(map(sum, cells))
-    return lo, partial(_witness, goods, desc, parts, lo, positive, zeros)
+    desc = [weights[i] for i in order if weights[i] > 0]
+    hi = sum(desc) // parts
+    lo = _raise_min(_lpt_cells(desc, parts), hi)
+    seen = set()
+    while lo < hi:
+        cells = _covers(desc, parts, lo + 1, seen)
+        if cells is None:
+            break
+        lo = min(map(sum, cells))
+    return lo, partial(_witness, goods, order, desc, parts, lo)
 
 
 def _check_capacity(count: int, parts: int, max_goods: int) -> None:
-    if max_goods < 0:
-        raise ValidationError(f"max_goods must be at least 0, got {max_goods}")
     if count > max_goods or parts > MAX_PARTS:
         raise CapacityError(
             f"exact MMS search over {count} goods / {parts} parts exceeds the "
@@ -509,14 +498,18 @@ def mms(
 
     ``valuation`` maps good id -> a non-negative int or Fraction (not a
     bool); any other value, a missing good or a duplicate good id raises
-    ValidationError.  With fewer goods than parts the
-    value is 0 and some cells are empty.  An equal-valued ``certificate``
-    partition short-circuits the search (and the capacity check); an
-    invalid certificate raises ContractError rather than falling back.
+    ValidationError, as does a negative ``max_goods``, certificate or
+    not.  When fewer goods than parts have positive value the value is 0,
+    and a searched partition has every good in cell 0.  An equal-valued
+    ``certificate`` partition short-circuits the search (and the capacity
+    check on the good and part counts); an invalid certificate raises
+    ContractError rather than falling back.
     A searched result's partition is built on its first read.
     """
     if parts < 1:
         raise ContractError(f"parts must be >= 1, got {parts}")
+    if max_goods < 0:
+        raise ValidationError(f"max_goods must be at least 0, got {max_goods}")
     goods = _canonical_goods(good_set)
     values = _checked_values(valuation, goods)
     if certificate is not None:
@@ -541,7 +534,6 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
             f"mms_naive is limited to {NAIVE_MAX_GOODS} goods / {NAIVE_MAX_PARTS} parts")
     scaled, denom = _scaled(_checked_values(valuation, goods))
     best = -1
-    best_assign = None
     for assign in product(range(parts), repeat=len(goods)):
         sums = [0] * parts
         for i, cell in enumerate(assign):
@@ -550,8 +542,6 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
         if low > best:
             best = low
             best_assign = assign
-    if best_assign is None:  # no goods at all
-        best, best_assign = 0, ()
     cells = [set() for _ in range(parts)]
     for i, cell in enumerate(best_assign):
         cells[cell].add(goods[i])
@@ -578,7 +568,8 @@ def instance_mms_all(
         if instance.certificates is not None:
             cert = instance.certificates.get(a)
         if cert is not None:
-            results[a] = mms(row, instance.n, instance.all_goods, certificate=cert)
+            results[a] = mms(row, instance.n, instance.all_goods, certificate=cert,
+                             max_goods=max_goods)
             continue
         for earlier, result in searched:
             if row == earlier:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mmsfair as mf
 
@@ -60,3 +63,25 @@ def dummy_survives_to_bagfill_instance() -> mf.Instance:
     goods = [f"g{j}" for j in range(1, 9)]
     vals = {a: {g: Fraction(v) for g, v in zip(goods, row)} for a in range(3)}
     return mf.make_instance(3, goods, vals)
+
+
+def freeze_golden(path: Path, builders: dict) -> None:
+    """Add to the golden file at ``path`` the cases it lacks, after the
+    frozen ones; ``builders`` maps each case name to a zero-argument
+    callable that returns its document.
+
+    A frozen case is never rewritten: if its recomputed document differs,
+    or its name is gone from ``builders``, every such case is named, the
+    process exits non-zero and nothing is written.
+    """
+    frozen = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    stale = [name for name in frozen
+             if name not in builders or builders[name]() != frozen[name]]
+    if stale:
+        sys.exit(f"{path.name}: frozen cases differ or lost their builder: "
+                 f"{', '.join(stale)}")
+    docs = dict(frozen)
+    for name, build in builders.items():
+        if name not in docs:
+            docs[name] = build()
+    path.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")

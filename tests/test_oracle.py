@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import mmsfair as mf
 from mmsfair import oracle
 
-from helpers import random_complete_allocation, random_instance
+from helpers import freeze_golden, random_complete_allocation, random_instance
 
 
 def _vals(numbers):
@@ -59,13 +58,20 @@ def test_naive_single_part_and_unit_cases():
     assert mf.mms_naive(vals, 3, list(vals)).value == 1
 
 
-def test_fewer_goods_than_parts_gives_zero_with_empty_cells():
+def test_fewer_goods_than_parts_gives_zero_with_empty_cells(monkeypatch):
+    # The share is an ordinary search: the floor is 0, the one probe at 1 is
+    # refused at _covers's root check, and the witness is _pack at 0, which
+    # dumps every good into cell 0.
+    probes = _recording(monkeypatch, "_covers")
     vals = _vals([4, 9])
     r = mf.mms(vals, 3, list(vals))
     assert r.value == 0
-    assert len(r.partition) == 3
-    assert any(not cell for cell in r.partition)
+    assert probes == [(1, None, set())]
+    assert r.partition == (frozenset({"g1", "g2"}), frozenset(), frozenset())
     _check_witness(vals, 3, r)
+    for empty in (mf.mms({}, 2, []), mf.mms_naive({}, 2, [])):
+        assert empty.value == 0
+        assert empty.partition == (frozenset(), frozenset())
 
 
 def test_oracle_matches_naive_on_random_smoke():
@@ -138,6 +144,13 @@ def test_capacity_errors():
         mf.mms_naive(small, 5, list(small))
     with pytest.raises(mf.ValidationError, match="max_goods"):
         mf.mms({}, 2, [], max_goods=-1)
+    # a certificate skips the search, not the sign check
+    tight = mf.gen_tight_example(3)
+    with pytest.raises(mf.ValidationError, match="max_goods"):
+        mf.mms(tight.valuations[0], 3, tight.goods, certificate=tight.certificates[0],
+               max_goods=-1)
+    with pytest.raises(mf.ValidationError, match="max_goods"):
+        mf.instance_mms_values(tight, max_goods=-1)
 
 
 def test_certificate_pins_value_beyond_capacity():
@@ -354,14 +367,11 @@ def _desc_weights(draw, min_value=1):
 @settings(max_examples=200)
 @given(_desc_weights(min_value=0), st.integers(1, 6))
 def test_deferred_partition_is_the_witness_at_the_value(weights, parts):
-    # With fewer positive weights than parts the share is 0 and the witness
-    # spreads them one per cell, not _pack's all-dumped packing at 0.
     vals = _vals(weights)
     r = mf.mms(vals, parts, list(vals))
     _check_witness(vals, parts, r)
-    if sum(w > 0 for w in weights) >= parts:
-        cells = _witness_at(weights, parts, r.value.numerator)
-        assert r.partition == _goods_cells(list(vals), cells)
+    cells = _witness_at(weights, parts, r.value.numerator)
+    assert r.partition == _goods_cells(list(vals), cells)
 
 
 def test_results_replace_compare_and_hash():
@@ -716,19 +726,7 @@ def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
 
 
 if __name__ == "__main__":
-    # Adds the cases of GOLDEN_MMS_SEEDS that the frozen file lacks, after
-    # the frozen ones.  A frozen case is never rewritten: if its recomputed
-    # share or witness differs, or its seed is gone, the case is named and
-    # nothing is written.
-    frozen = json.loads(GOLDEN_MMS.read_text(encoding="utf-8")) if GOLDEN_MMS.exists() else {}
-    cases = {f"{kind}-{seed}": (kind, seed)
-             for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds}
-    stale = [name for name in frozen if name not in cases
-             or golden_mms_doc(*golden_mms_case(*cases[name])) != frozen[name]]
-    if stale:
-        sys.exit(f"frozen golden cases differ or lost their seed: {', '.join(stale)}")
-    docs = dict(frozen)
-    for name, case in cases.items():
-        if name not in docs:
-            docs[name] = golden_mms_doc(*golden_mms_case(*case))
-    GOLDEN_MMS.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
+    # Adds the cases the frozen file lacks; never rewrites a frozen one.
+    freeze_golden(GOLDEN_MMS, {
+        f"{kind}-{seed}": lambda case=(kind, seed): golden_mms_doc(*golden_mms_case(*case))
+        for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds})

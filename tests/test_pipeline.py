@@ -2,7 +2,6 @@
 
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import pytest
 
 import mmsfair as mf
 
-from helpers import random_instance
+from helpers import freeze_golden, random_instance
 
 
 def test_alpha_for_improved_small_n():
@@ -248,19 +247,6 @@ def test_solves_match_golden_file():
 
 
 if __name__ == "__main__":
-    # Adds the cases of golden_solve_instances() that the frozen file lacks,
-    # after the frozen ones.  A frozen case is never rewritten: if its
-    # recomputed document differs, or its instance is gone, the case is
-    # named and nothing is written.
-    frozen = (json.loads(GOLDEN_SOLVES.read_text(encoding="utf-8"))
-              if GOLDEN_SOLVES.exists() else {})
-    instances = golden_solve_instances()
-    stale = [name for name in frozen if name not in instances
-             or golden_solve_doc(instances[name]) != frozen[name]]
-    if stale:
-        sys.exit(f"frozen golden solves differ or lost their instance: {', '.join(stale)}")
-    docs = dict(frozen)
-    for name, inst in instances.items():
-        if name not in docs:
-            docs[name] = golden_solve_doc(inst)
-    GOLDEN_SOLVES.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
+    # Adds the cases the frozen file lacks; never rewrites a frozen one.
+    freeze_golden(GOLDEN_SOLVES, {name: lambda inst=inst: golden_solve_doc(inst)
+                                  for name, inst in golden_solve_instances().items()})
