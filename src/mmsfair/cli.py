@@ -227,6 +227,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("capacity error: the exact search ran out of memory; lower "
+              "--max-goods or supply certificates", file=sys.stderr)
+        return 3
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         if exc.payload is not None:

@@ -22,10 +22,10 @@ Two independent routes are provided:
                    completed by smaller ones, with a value bound, a
                    cell-size bound and a table of failed states that every
                    probe of one climb shares.  The climb builds no
-                   witness: the partition is ``_pack`` at the optimum, a
-                   depth-first packing with a fixed branch order, run on
-                   the partition's first read, so a caller that reads only
-                   values (rule targets, verification) never pays for it.
+                   witness: the partition is ``_covers``'s split at the
+                   optimum with a fresh memo, run on the partition's first
+                   read, so a caller that reads only values (rule targets,
+                   verification) never pays for it.
 * ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
                    assignment of goods to cells, used to test ``mms``.
 
@@ -39,7 +39,6 @@ Scoring an allocation against these shares is ``harness.verify``'s job.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -92,10 +91,10 @@ class MmsResult:
     value equals ``value``.  When fewer goods than parts have positive
     value, the value is 0 and some cells are empty (a searched partition
     has every good in cell 0).  ``mms`` defers it: its search finds the
-    value without a witness, and the partition is built by ``_pack`` at
-    the value on its first read (in the package only ``normalize`` and the
-    CLI's ``mms`` command read it), then kept.  It may be given as a
-    tuple, or as a zero-argument callable that returns one.
+    value without a witness, and the partition is ``_covers``'s split at
+    the value, built on its first read (in the package only ``normalize``
+    and the CLI's ``mms`` command read it), then kept.  It may be given as
+    a tuple, or as a zero-argument callable that returns one.
     """
 
     value: Value
@@ -189,7 +188,9 @@ def _raise_min(cells: list, cap: int) -> int:
 
 def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
     """Split the weights into ``parts`` cells each summing to >= tau, by bin
-    completion: returns the cells as lists of weights, or None.
+    completion: returns the cells as lists of indices into ``desc``, or
+    None.  At tau <= 0 every index is in cell 0 and the other cells are
+    empty: that is the witness of a share of 0.
 
     ``desc`` must be positive and non-increasing.  One cell is filled at a
     time: the largest remaining weight opens it (some cell holds it, and
@@ -205,9 +206,9 @@ def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
     as long as their thresholds never fall.  Equal weights are always taken
     first to last, so each remaining multiset has one key.
     """
-    if tau <= 0:
-        return [list(desc)] + [[] for _ in range(parts - 1)]
     n = len(desc)
+    if tau <= 0:
+        return [list(range(n))] + [[] for _ in range(parts - 1)]
     if n < parts or sum(desc) < tau * parts:
         return None
     starts = []  # the remaining weights at each cell start, as bit masks
@@ -215,7 +216,7 @@ def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
         return None
     starts.reverse()  # appended from the last cell back
     masks = [a & ~b for a, b in zip(starts, starts[1:])] + starts[-1:]
-    return [[desc[i] for i in range(n) if cell >> i & 1] for cell in masks]
+    return [[i for i in range(n) if cell >> i & 1] for cell in masks]
 
 
 def _cover(desc, mask, k, tau, seen, starts) -> bool:
@@ -299,134 +300,18 @@ def _complete(desc, rest, ws, suffix, j, deficit, slack, mask, k, tau, seen,
     return False
 
 
-def _pack(weights: Sequence[int], parts: int, tau: int):
-    """Split every item into ``parts`` cells, each cell summing to >= tau.
-
-    ``weights`` must be positive and non-increasing.  Returns
-    (cells as lists of item indices, dumped item indices) or None.
-    Dumped items were placed after every cell had already reached tau,
-    so they may later be appended to any cell.  Only ``_witness`` calls
-    it: the value search asks ``_covers``, which answers feasibility
-    faster but whose split depends on its own branch order.
-
-    The return value is the first success of a fixed branch order: the
-    item goes to the open cells by descending sum, ties to the lower
-    index, one cell per distinct sum.  Every cut only rejects states from
-    which no packing exists, so it never changes which packing is found
-    first, and the packing at the optimum is the witness: a new cut must
-    keep both properties.  One such cut drops the branch that dumps an
-    item while a cell is still open: a packing that dumps it can swap it
-    with a later, no larger item of an open cell, so an earlier branch
-    would already have found a packing.
-
-    The cuts that need no memo run before any call: tau <= 0 dumps every
-    item; fewer items than parts, or a total below tau * parts, fails at
-    once; and the branch loop recurses into a child only if it keeps at
-    least one item per open cell and enough value for its deficit, and
-    succeeds in place when the item closes the last open cell.  A call of
-    ``_place`` looks up the memo and applies the item-count bound.  Its
-    state ``(i, opens, deficit)`` is its memo key and all it reads besides
-    the memo.  A success records the open sum each item joined, and the
-    cells are replayed from that path by the tie rule above.
-    """
-    m = len(weights)
-    if tau <= 0:
-        return [[] for _ in range(parts)], list(range(m))
-    prefix = [0] * (m + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-    if m < parts or prefix[m] < tau * parts:
-        return None
-    path = []  # the open sum each item joined, appended from the last item back
-    if not _place(weights, prefix, tau, 0, [0] * parts, tau * parts, set(), path):
-        return None
-    # Closed cells sit at or above tau, so no open sum matches them.
-    cells = [0] * parts
-    owners = [[] for _ in range(parts)]
-    for i, s in enumerate(reversed(path)):
-        j = cells.index(s)
-        cells[j] = s + weights[i]
-        owners[j].append(i)
-    return owners, list(range(len(path), m))
-
-
-def _place(weights, prefix, tau, i, opens, deficit, seen, path) -> bool:
-    """Whether ``weights[i:]`` complete ``_pack``'s open cells, whose sums
-    ``opens`` (below tau, descending) lack ``deficit`` of tau in all.  On
-    success the open sum each item joined is appended to ``path``, the
-    last item first; ``seen`` holds the failed states."""
-    key = (i, *opens)
-    if key in seen:
-        return False
-    # Item-count bound: a cell short by d needs at least as many items as
-    # the largest remaining ones take to reach d.  Each open cell is short
-    # by at least as much as the one before it, so each search starts where
-    # the last one ended.
-    left = len(weights) - i
-    count = len(opens)
-    need = -i * count
-    base = prefix[i] + tau
-    last = -1
-    k = i
-    for s in opens:
-        if s != last:
-            last = s
-            k = bisect_left(prefix, base - s, k)
-        need += k
-    if need > left:
-        seen.add(key)
-        return False
-    w = weights[i]
-    rest = prefix[-1] - prefix[i + 1]
-    cut = tau - w
-    last = tau  # above every open sum
-    for t, s in enumerate(opens):
-        if s == last:
-            continue
-        if s >= cut:
-            # The item closes this cell (these sums come first), so the
-            # child has one item and one open cell fewer: only the value
-            # check can cut it, and its deficit is the other cells'.
-            last = s
-            d = deficit - tau + s
-            if d > rest:
-                continue
-            if d == 0:
-                path.append(s)
-                return True
-            child = opens[:t] + opens[t + 1:]
-        else:
-            if last >= cut:
-                # The first cell the item leaves open.  Every such cell
-                # gives the child the same deficit and open-cell count, so
-                # one check covers them all.
-                d = deficit - w
-                if left <= count or d > rest:
-                    break
-            last = s
-            child = opens[:]
-            child[t] = s + w
-            child.sort(reverse=True)
-        if _place(weights, prefix, tau, i + 1, child, d, seen, path):
-            path.append(s)
-            return True
-    seen.add(key)
-    return False
-
-
 def _witness(goods: list, order: list, desc: list, parts: int, value: int) -> tuple:
-    """The canonical witness of the share ``value``, as frozensets of goods.
+    """The witness of the share ``value``, as frozensets of goods.
 
     ``order`` is the goods' indices by non-increasing weight; its prefix
     holds the positive weights ``desc`` and its tail the zero weights.  The
-    cells are ``_pack`` at the value, whose fixed branch order makes them
-    the same however the value was found, with its dumped items and the
-    zero weights in cell 0.  At a value of 0 (fewer positive weights than
-    parts) ``_pack`` dumps every item, so every good is in cell 0.
+    cells are ``_covers`` at the value with a fresh memo, so they depend
+    only on the weights, ``parts``, the value and ``_covers``'s branch
+    order, not on how the value was found; the zero weights join cell 0.
+    At a value of 0 (fewer positive weights than parts) every good is in
+    cell 0.
     """
-    owners, dumped = _pack(desc, parts, value)
-    cells = [[order[i] for i in owner] for owner in owners]
-    cells[0].extend(order[i] for i in dumped)
+    cells = [[order[i] for i in cell] for cell in _covers(desc, parts, value, set())]
     cells[0].extend(order[len(desc):])
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
@@ -446,8 +331,9 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     and a probe at 1 ends the climb at ``_covers``'s root check.
 
     ``witness`` is a zero-argument callable that returns the partition of
-    ``goods`` (``_witness``: ``_pack`` at the value).  It holds the weights
-    it needs, never the climb's memo, and runs only when called.
+    ``goods`` (``_witness``: ``_covers`` at the value with a fresh memo).
+    It holds the weights it needs, never the climb's memo, and runs only
+    when called.
     """
     # A reverse sort is stable: equal weights keep their index order.
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
@@ -459,7 +345,7 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
         cells = _covers(desc, parts, lo + 1, seen)
         if cells is None:
             break
-        lo = min(map(sum, cells))
+        lo = min(sum(desc[i] for i in cell) for cell in cells)
     return lo, partial(_witness, goods, order, desc, parts, lo)
 
 

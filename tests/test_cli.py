@@ -8,7 +8,7 @@ import threading
 from pathlib import Path
 
 import mmsfair as mf
-from mmsfair import cli, pipeline, transforms
+from mmsfair import cli, oracle, pipeline, transforms
 from mmsfair.cli import main
 
 
@@ -167,6 +167,20 @@ def test_exit_code_capacity_error(tmp_path, capsys):
     code, _, _ = _run(capsys, "solve", "--input", str(inst_file),
                       "--max-goods", "21")
     assert code == 0
+
+
+def test_a_search_out_of_memory_exits_3_naming_max_goods(tmp_path, capsys, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    _run(capsys, "gen", "random", "--n", "2", "--m", "6", "--bound", "5",
+         "--seed", "1", "--output", str(inst_file))
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "_max_min_partition", out_of_memory)
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file))
+    assert code == 3
+    assert "--max-goods" in err and out == ""
 
 
 def test_explicit_alpha_above_bound_rejected(tmp_path, capsys):

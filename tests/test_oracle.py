@@ -60,14 +60,17 @@ def test_naive_single_part_and_unit_cases():
 
 def test_fewer_goods_than_parts_gives_zero_with_empty_cells(monkeypatch):
     # The share is an ordinary search: the floor is 0, the one probe at 1 is
-    # refused at _covers's root check, and the witness is _pack at 0, which
-    # dumps every good into cell 0.
-    probes = _recording(monkeypatch, "_covers")
+    # refused at _covers's root check, and the witness is _covers at 0 with
+    # a fresh memo, which puts every good in cell 0.
+    probes = _recording(monkeypatch)
     vals = _vals([4, 9])
     r = mf.mms(vals, 3, list(vals))
     assert r.value == 0
     assert probes == [(1, None, set())]
+    climb_memo = probes[0][2]
     assert r.partition == (frozenset({"g1", "g2"}), frozenset(), frozenset())
+    assert probes[1:] == [(0, [[0, 1], [], []], set())]
+    assert probes[1][2] is not climb_memo
     _check_witness(vals, 3, r)
     for empty in (mf.mms({}, 2, []), mf.mms_naive({}, 2, [])):
         assert empty.value == 0
@@ -218,46 +221,44 @@ def test_mms_score_requires_complete_allocation():
         mf.verify(inst, partial, Fraction(3, 4))
 
 
-def _recording(monkeypatch, name: str) -> list:
-    """Record (tau, result, memo) for every call of ``oracle.<name>``
-    (``_covers`` or ``_pack``; ``_pack`` takes no memo, recorded as None)."""
+def _recording(monkeypatch) -> list:
+    """Record (tau, result, memo) for every call of ``oracle._covers``."""
     probes = []
-    real = getattr(oracle, name)
+    real = oracle._covers
 
-    def recording(weights, parts, tau, *seen):
-        result = real(weights, parts, tau, *seen)
-        probes.append((tau, result, *seen) if seen else (tau, result, None))
+    def recording(desc, parts, tau, seen):
+        result = real(desc, parts, tau, seen)
+        probes.append((tau, result, seen))
         return result
 
-    monkeypatch.setattr(oracle, name, recording)
+    monkeypatch.setattr(oracle, "_covers", recording)
     return probes
 
 
 def test_max_min_partition_probes_each_threshold_once(monkeypatch):
     # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
     # the optimum 6 | 6, which is total // parts: the value costs no probe,
-    # and the witness one _pack at 6, made when the partition is first read.
-    probes = _recording(monkeypatch, "_covers")
-    packs = _recording(monkeypatch, "_pack")
+    # and the witness one _covers at 6, made when the partition is first
+    # read.
+    probes = _recording(monkeypatch)
     vals = _vals([3, 3, 2, 2, 2])
     r = mf.mms(vals, 2, list(vals))
     assert r.value == 6
-    assert probes == packs == []
+    assert probes == []
     _check_witness(vals, 2, r)
-    assert probes == [] and [tau for tau, _, _ in packs] == [6]
-    packs.clear()
+    assert [tau for tau, _, _ in probes] == [6]
+    probes.clear()
     _check_witness(vals, 2, r)
-    assert packs == []
+    assert probes == []
 
 
 def _witness_at(weights, parts, tau):
-    """Cells of _pack at tau, built as _max_min_partition builds its witness."""
+    """Cells of _covers at tau with a fresh memo, built as
+    _max_min_partition builds its witness."""
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     positive = [i for i in order if weights[i] > 0]
     desc = [weights[i] for i in positive]
-    owners, dumped = oracle._pack(desc, parts, tau)
-    cells = [[positive[i] for i in owner] for owner in owners]
-    cells[0].extend(positive[i] for i in dumped)
+    cells = [[positive[i] for i in cell] for cell in oracle._covers(desc, parts, tau, set())]
     cells[0].extend(i for i in order if weights[i] == 0)
     return cells
 
@@ -270,9 +271,9 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # lcm-scaled rationals make an answer range about 1e10 wide.  The value
     # climb probes _covers only one above the best minimum cell seen so far,
     # so only the probe just above the optimum fails, and no witness is
-    # built until the partition is read: then one _pack at the optimum.
-    probes = _recording(monkeypatch, "_covers")
-    packs = _recording(monkeypatch, "_pack")
+    # built until the partition is read: then one _covers at the optimum,
+    # with a memo of its own.
+    probes = _recording(monkeypatch)
     rng = random.Random(53)
     for _ in range(20):
         values = [Fraction(rng.randint(1, 100), rng.randint(1, 100))
@@ -285,7 +286,6 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         value = r.value * denom
         assert value.denominator == 1
         value = value.numerator
-        assert packs == []
 
         # Each probe is one above the floor or the last split's smallest
         # cell, so thresholds strictly rise, and all of them share one memo.
@@ -297,7 +297,7 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
             assert seen is not None and seen is probes[0][2]
             if cells is None:
                 break
-            lo = min(map(sum, cells))
+            lo = min(sum(desc[i] for i in cell) for cell in cells)
         assert lo == value, (value, probes)
         # The climb ends at its first failure, at value + 1, or at
         # total // parts with none.
@@ -305,27 +305,34 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         assert failed == ([] if value == hi else [value + 1]), (value, probes)
         assert not failed or probes[-1][1] is None
 
+        climb_memo = probes[0][2] if probes else None
         expected = _goods_cells(list(vals), _witness_at(weights, parts, value))
         probes.clear()
-        packs.clear()
         assert r.partition == expected
-        assert probes == [] and [tau for tau, _, _ in packs] == [value]
-        packs.clear()
+        assert [tau for tau, _, _ in probes] == [value]
+        assert probes[0][2] is not climb_memo
+        probes.clear()
         assert r.partition == expected
-        assert packs == []
+        assert probes == []
 
 
 def test_values_never_build_a_witness(monkeypatch):
-    # instance_mms_values and verify read no partition, so they make no
-    # _pack call at all: every probe is a climb's _covers probe, made with
-    # the climb's memo, and none runs after a search returns.  Each search
-    # probes its value at most once, the climb's own success there when its
-    # floor was one below it.
+    # instance_mms_values and verify read no partition, so they build no
+    # witness: every _covers call is a climb's probe, made inside
+    # _max_min_partition, and none runs after a search returns.  Each
+    # search probes its value at most once, the climb's own success there
+    # when its floor was one below it.
     optima = {}
     real_search = oracle._max_min_partition
+    searching = False
 
     def recording_search(weights, parts, goods):
-        value, witness = real_search(weights, parts, goods)
+        nonlocal searching
+        searching = True
+        try:
+            value, witness = real_search(weights, parts, goods)
+        finally:
+            searching = False
         optima[tuple(sorted(filter(None, weights), reverse=True)), parts] = value
         return value, witness
 
@@ -333,10 +340,9 @@ def test_values_never_build_a_witness(monkeypatch):
     real_covers = oracle._covers
 
     def recording_covers(desc, parts, tau, seen):
-        probes.append((tuple(desc), parts, tau, seen is not None))
+        probes.append((tuple(desc), parts, tau, searching))
         return real_covers(desc, parts, tau, seen)
 
-    packs = _recording(monkeypatch, "_pack")
     monkeypatch.setattr(oracle, "_max_min_partition", recording_search)
     monkeypatch.setattr(oracle, "_covers", recording_covers)
     rng = random.Random(61)
@@ -345,8 +351,7 @@ def test_values_never_build_a_witness(monkeypatch):
         mf.instance_mms_values(inst)
         mf.verify(inst, random_complete_allocation(rng, inst), Fraction(3, 4))
     assert len(optima) == 18 and len(probes) >= 36
-    assert packs == []
-    assert all(memo for *_, memo in probes)
+    assert all(inside for *_, inside in probes)
     at_optimum = [(desc, parts) for desc, parts, tau, _ in probes
                   if tau == optima[desc, parts]]
     assert len(at_optimum) == len(set(at_optimum)) * 2  # each searched twice
@@ -374,6 +379,15 @@ def test_deferred_partition_is_the_witness_at_the_value(weights, parts):
     assert r.partition == _goods_cells(list(vals), cells)
 
 
+def test_witnesses_past_twenty_goods():
+    # Every share of these 24-good rows, witness included, takes
+    # milliseconds: the witness is one more _covers probe, at the value.
+    for seed in (1, 2, 3):
+        inst = random_instance(seed, 6, 24, bound=1000)
+        for row in inst.valuations.values():
+            _check_witness(row, 6, mf.mms(row, 6, inst.goods, max_goods=24))
+
+
 def test_results_replace_compare_and_hash():
     # A searched result whose partition is not yet built behaves as one
     # constructed with its partition: equal, equally hashed and replaceable.
@@ -394,6 +408,8 @@ def test_results_replace_compare_and_hash():
         mf.MmsResult(Fraction(1))
 
 
+# An independent packing search, kept unedited: it shares no code or branch
+# order with ``_covers``, so it checks whether a split exists at a threshold.
 def _reference_pack(weights, suffix, parts, tau):
     """``oracle._pack`` as it stood before the item-count bound, verbatim.
 
@@ -452,10 +468,6 @@ def _reference(desc, parts, tau):
     return _reference_pack(desc, [sum(desc[i:]) for i in range(len(desc) + 1)], parts, tau)
 
 
-def _assert_pack_matches_reference(desc, parts, tau):
-    assert oracle._pack(desc, parts, tau) == _reference(desc, parts, tau), (desc, parts, tau)
-
-
 def _assert_covers_matches_reference(desc, parts, tau, seen):
     """``_covers`` with the memo ``seen`` finds a split exactly when the
     reference packing exists, and its cells split ``desc`` into ``parts``
@@ -463,14 +475,14 @@ def _assert_covers_matches_reference(desc, parts, tau, seen):
     cells = oracle._covers(desc, parts, tau, seen)
     assert (cells is None) == (_reference(desc, parts, tau) is None), (desc, parts, tau)
     if cells is not None:
-        assert len(cells) == parts and all(sum(cell) >= tau for cell in cells)
-        assert sorted(w for cell in cells for w in cell) == sorted(desc)
+        assert len(cells) == parts
+        assert all(sum(desc[i] for i in cell) >= tau for cell in cells)
+        assert sorted(i for cell in cells for i in cell) == list(range(len(desc)))
 
 
 # Golden cases cheap enough for the reference at every threshold.  The
-# pow2, few-valued and identical ones are tie-heavy: many open cells share
-# one sum, so they check hardest that the success path is replayed into the
-# lowest-indexed cell with each sum.
+# pow2, few-valued and identical ones are tie-heavy: many weights are equal,
+# so they check hardest that skipping an equal weight loses no split.
 REFERENCE_CASES = (("int", 0), ("int", 3), ("correlated", 30), ("correlated", 31),
                    *(("pow2", seed) for seed in (0, 1, 2, 3, 4)),
                    *(("few-valued", seed) for seed in (0, 1, 2, 3, 4)),
@@ -487,13 +499,6 @@ def _lpt_thresholds(kind, seed):
     return desc, parts, range(floor, sum(desc) // parts + 2)
 
 
-def test_pack_matches_reference_at_every_threshold():
-    for kind, seed in REFERENCE_CASES:
-        desc, parts, taus = _lpt_thresholds(kind, seed)
-        for tau in taus:
-            _assert_pack_matches_reference(desc, parts, tau)
-
-
 def test_covers_with_one_memo_over_rising_thresholds_matches_reference():
     # A climb shares one failed-state memo across its probes; sharing it
     # must not change any probe's answer.
@@ -505,7 +510,7 @@ def test_covers_with_one_memo_over_rising_thresholds_matches_reference():
 
 
 @st.composite
-def _pack_inputs(draw):
+def _covers_inputs(draw):
     """Non-increasing positive weights, a part count and any threshold from
     0 up to one past total // parts; half the draws are near-equal
     (base +- 10%)."""
@@ -515,19 +520,13 @@ def _pack_inputs(draw):
 
 
 @settings(max_examples=300)
-@given(_pack_inputs())
-def test_pack_matches_reference_on_any_input(inputs):
-    _assert_pack_matches_reference(*inputs)
-
-
-@settings(max_examples=300)
-@given(_pack_inputs())
+@given(_covers_inputs())
 def test_covers_matches_reference_on_any_input(inputs):
     _assert_covers_matches_reference(*inputs, set())
 
 
 @settings(max_examples=300)
-@given(_pack_inputs(), st.data())
+@given(_covers_inputs(), st.data())
 def test_covers_with_a_memo_from_a_lower_threshold_matches_reference(inputs, data):
     desc, parts, tau = inputs
     t1 = data.draw(st.integers(0, tau), label="t1")
@@ -555,7 +554,7 @@ def test_covers_cell_size_bound_refutes_near_equal_weights(monkeypatch):
     assert completions == []
     assert _reference(desc, 3, 9) is None
     cells = oracle._covers(desc, 3, 8, set())
-    assert sorted(map(sum, cells)) == [8, 9, 12]
+    assert sorted(sum(desc[i] for i in cell) for cell in cells) == [8, 9, 12]
 
 
 # (valuation, good set, what the ValidationError says)
@@ -695,23 +694,23 @@ def test_mms_matches_golden_file():
 
 
 def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
-    # A partition read that fails part-way (a MemoryError from an unbounded
+    # A partition read that fails part-way (a MemoryError from a large
     # memo, say) frees its memo as its frames unwind: nothing is left for
-    # the cyclic collector.
-    parts, values = golden_mms_case("int", 100)
+    # the cyclic collector.  The read of this case completes 441 cells.
+    parts, values = golden_mms_case("int", 107)
     vals = _vals(values)
     result = mf.mms(vals, parts, list(vals))
     calls = 0
-    real = oracle.bisect_left
+    real = oracle._complete
 
-    def failing_bisect_left(*args):
+    def failing_complete(*args):
         nonlocal calls
         calls += 1
-        if calls > 20_000:
+        if calls > 200:
             raise MemoryError
         return real(*args)
 
-    monkeypatch.setattr(oracle, "bisect_left", failing_bisect_left)
+    monkeypatch.setattr(oracle, "_complete", failing_complete)
     gc.collect()
     gc.disable()
     try:
@@ -719,7 +718,7 @@ def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
             result.partition
         except MemoryError:
             pass
-        assert calls > 20_000
+        assert calls > 200
         assert gc.collect() == 0
     finally:
         gc.enable()

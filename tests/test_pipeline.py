@@ -199,8 +199,10 @@ GOLDEN_SOLVES = Path(__file__).parent / "data" / "golden_solves.json"
 
 
 def golden_solve_instances() -> dict:
-    """The frozen solve inputs: one per path through approx_mms, and two at
-    the north-star size (n = 6, m = 18 and 20) that reduce and fill bags."""
+    """The frozen solve inputs: one per path through approx_mms, and four at
+    the north-star size (n = 6, m = 18 and 20) that reduce and fill bags.
+    The bag-fill events of seed 4 at m = 18 and seed 2 at m = 20 change
+    with the witnesses ``normalize`` rescales by, so they pin them."""
     from helpers import dummy_survives_to_bagfill_instance, rule4_dummy_instance
 
     rows = random_instance(5, 2, 8, bound=30).valuations
@@ -222,6 +224,8 @@ def golden_solve_instances() -> dict:
         "random-n4": random_instance(4, 4, 14, bound=30),
         "north-star-n6-m18": random_instance(1, 6, 18, bound=1000),
         "north-star-n6-m20": random_instance(1, 6, 20, bound=1000),
+        "north-star-n6-m18-s4": random_instance(4, 6, 18, bound=1000),
+        "north-star-n6-m20-s2": random_instance(2, 6, 20, bound=1000),
     }
 
 
