@@ -81,10 +81,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mms(args) -> int:
     instance = _load_instance(args.input)
+    if args.agent is not None and args.agent not in instance.agents:
+        raise ValidationError(f"unknown agent {args.agent}")
     results = instance_mms_all(instance, max_goods=args.max_goods)
     agents = instance.agents if args.agent is None else (args.agent,)
-    if args.agent is not None and args.agent not in results:
-        raise ValidationError(f"unknown agent {args.agent}")
     doc = {
         str(a): {
             "mms": format_value(results[a].value),

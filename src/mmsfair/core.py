@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 
 Value = Fraction
 Bundle = frozenset  # of good ids (str)
@@ -27,6 +27,9 @@ ZERO = Fraction(0)
 
 # The only string forms a value may take: no sign, decimal point or exponent.
 _VALUE_STRING = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+# A JSON object key naming an agent: its id in canonical decimal.
+_AGENT_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_value(raw) -> Fraction:
@@ -296,6 +299,15 @@ def bundle_value(instance: Instance, agent, bundle: Iterable) -> Fraction:
 
 
 def instance_to_json(instance: Instance) -> dict:
+    """The instance as a JSON document; its agents must be 0..n-1.
+
+    The schema declares agents by count, so any other ids could not be
+    read back and raise ContractError.
+    """
+    if instance.agents != tuple(range(instance.n)):
+        raise ContractError(
+            f"instance JSON needs agent ids 0..{instance.n - 1}, "
+            f"got {list(instance.agents)}")
     doc = {
         "agents": instance.n,
         "goods": list(instance.goods),
@@ -317,21 +329,46 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def _id_list(raw, field: str) -> list:
-    """A JSON list of string ids; anything else raises ValidationError naming ``field``."""
+    """A JSON list of distinct string ids; anything else raises ValidationError naming ``field``."""
     if not isinstance(raw, list) or not all(isinstance(g, str) for g in raw):
         raise ValidationError(f"{field} must be a list of string ids, got {raw!r}")
+    seen = set()
+    for g in raw:
+        if g in seen:
+            raise ValidationError(f"{field} repeats id {g!r}")
+        seen.add(g)
     return raw
 
 
-def _by_agent(raw, agents: Iterable, field: str) -> dict:
-    """A JSON object keyed by agent id, as {agent: entry}; other keys are rejected."""
+def _agent_id(key, agents) -> Optional[int]:
+    """The agent in the container ``agents`` a JSON object key names, or None."""
+    if not (isinstance(key, str) and _AGENT_KEY.fullmatch(key)):
+        return None
+    try:
+        a = int(key)
+    except ValueError:  # more digits than int() converts: no declared agent
+        return None
+    return a if a in agents else None
+
+
+def _by_agent(raw, agents, field: str) -> dict:
+    """A JSON object keyed by agent id, as {agent: entry}; other keys are rejected.
+
+    Only the keys present are checked, each by membership in ``agents``,
+    so a huge declared agent count costs nothing.
+    """
     if not isinstance(raw, dict):
         raise ValidationError(f"{field} must be an object keyed by agent id")
-    keys = {str(a): a for a in agents}
-    extra = set(raw) - set(keys)
+    entries, extra = {}, []
+    for key, entry in raw.items():
+        a = _agent_id(key, agents)
+        if a is None:
+            extra.append(key)
+        else:
+            entries[a] = entry
     if extra:
-        raise ValidationError(f"{field}: unknown agents {sorted(extra)}")
-    return {keys[k]: v for k, v in raw.items()}
+        raise ValidationError(f"{field}: unknown agents {sorted(map(str, extra))}")
+    return entries
 
 
 def instance_from_json(doc: Mapping) -> Instance:
@@ -374,7 +411,7 @@ def allocation_to_json(instance: Instance, allocation: Allocation) -> dict:
 
 
 def allocation_from_json(instance: Instance, doc: Mapping) -> Allocation:
-    entries = _by_agent(doc, instance.agents, "allocation JSON")
+    entries = _by_agent(doc, set(instance.agents), "allocation JSON")
     bundles = {}
     for a in instance.agents:
         if a not in entries:

@@ -277,24 +277,22 @@ class ReductionLog:
         return [rec.to_json() for rec in self.records]
 
 
-def apply_reduction(instance: Instance, alpha: Value, k: int, agent: int,
-                    mms_values: Mapping) -> tuple:
-    """Give rule k's bundle to ``agent`` and shrink the instance.
+def apply_reduction(instance: Instance, alpha: Value,
+                    mms_values: Mapping) -> Optional[tuple]:
+    """Apply the first rule in ``RULES`` order that fits; None if none does.
 
-    ``agent`` must be exactly what rule_target reported; rule 4 requires
-    rules 1 and 3 to be inapplicable first.  Above threshold 3/4, rule 4
+    The rule's bundle goes to the agent ``rule_target`` reports, so rule 4
+    only fires when rules 1 to 3 all fail.  Above threshold 3/4, rule 4
     appends a fresh dummy good worth max(0, v_j(S4) - MMS_j) to each
     survivor j.  Returns (new instance, ReductionRecord).  The new
     instance is built by ``Instance.without``, which drops certificates.
     """
-    if rule_target(instance, alpha, k, mms_values) != agent:
-        raise ContractError(
-            f"rule {k} does not select agent {agent} at threshold {alpha}")
-    if k == 4:
-        for blocker in (1, 3):
-            if rule_target(instance, alpha, blocker, mms_values) is not None:
-                raise ContractError(
-                    f"rule 4 applied while rule {blocker} is still applicable")
+    for k in RULES:
+        agent = rule_target(instance, alpha, k, mms_values)
+        if agent is not None:
+            break
+    else:
+        return None
     removed = frozenset(rule_bundle(instance, k))
     dummy_created = None
     if k == 4 and alpha > Fraction(3, 4):
@@ -319,9 +317,9 @@ def reduce(
 ) -> ReductionLog:
     """Apply reduction rules until none fits or one agent remains.
 
-    ``shares`` is the instance's {agent: MmsResult} table.  Rules are
-    probed in the fixed order 1, 2, 3, 4 and probing restarts after every
-    application, so rule 4 only ever fires when rules 1 and 3 just failed.
+    ``shares`` is the instance's {agent: MmsResult} table.  Each round is
+    one ``apply_reduction`` step, which probes the rules afresh in the
+    fixed order 1, 2, 3, 4.
     Each reduced instance with more than one agent is searched once; a
     survivor's share shrinking below the value the reduction used would
     break the reduction's validity and raises InternalInvariantError.
@@ -337,13 +335,10 @@ def reduce(
     current = instance
     while current.n > 1:
         values = {a: shares[a].value for a in current.agents}
-        for k in RULES:
-            target = rule_target(current, alpha, k, values)
-            if target is not None:
-                break
-        else:
+        step = apply_reduction(current, alpha, values)
+        if step is None:
             break
-        current, record = apply_reduction(current, alpha, k, target, values)
+        current, record = step
         records.append(record)
         if current.n == 1:
             break

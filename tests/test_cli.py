@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -127,6 +130,12 @@ MALFORMED = [
      "certificates[0]"),
     (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"0": {"g1": 2, "g2": 1}}),
           certificates={"0": [["g1"], ["g2"]]}), None, "certificates[0]"),
+    (dict(_OK_INSTANCE, certificates={"0": [["g1", "g1"], ["g2"]]}), None,
+     "certificates['0'] repeats id 'g1'"),
+    (_OK_INSTANCE, {"0": ["g1", "g1"], "1": ["g2"]},
+     "bundle for agent 0 repeats id 'g1'"),
+    (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"1" + "0" * 5000: {}})), None,
+     "unknown agents"),
 ]
 
 
@@ -154,6 +163,33 @@ def test_unreadable_json_exits_2(tmp_path, capsys):
         code, _, err = _run(capsys, "solve", "--input", str(inst_file))
         assert code == 2, (raw[:20], err)
         assert err.startswith("error") and str(inst_file) in err, err
+
+
+def test_huge_agent_count_exits_2_naming_the_missing_row(tmp_path):
+    # The child caps its own address space, so code that allocates per
+    # declared agent fails fast there instead of exhausting the machine.
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(
+        {"agents": 10 ** 9, "goods": ["g1"], "valuations": {}}))
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from mmsfair.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(mf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "mms", "--input", str(inst_file)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert "missing valuations for agent 0" in proc.stderr
+
+
+def test_mms_rejects_an_unknown_agent_before_searching(tmp_path, capsys):
+    inst_file = tmp_path / "big.json"
+    _run(capsys, "gen", "random", "--n", "2", "--m", "21", "--bound", "5",
+         "--seed", "1", "--output", str(inst_file))
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file), "--agent", "7")
+    assert code == 2 and out == ""
+    assert "unknown agent 7" in err
 
 
 def test_exit_code_capacity_error(tmp_path, capsys):

@@ -128,6 +128,12 @@ def test_instance_json_certificates_roundtrip():
     assert {frozenset(c) for c in back.certificates[0]} == set(inst.certificates[0])
 
 
+def test_instance_to_json_rejects_agent_ids_it_cannot_read_back():
+    inst = mf.make_instance(3, ["g1"], {a: {"g1": 1} for a in range(3)})
+    with pytest.raises(mf.ContractError, match=r"\[1, 2\]"):
+        mf.instance_to_json(inst.without(agents=(0,)))
+
+
 def test_instance_json_rejects_missing_rows():
     with pytest.raises(mf.ValidationError):
         mf.instance_from_json({"agents": 2, "goods": ["g1"],

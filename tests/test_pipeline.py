@@ -128,6 +128,7 @@ def test_irreducible_instance_is_exposed_and_checks_out():
     values = mf.instance_mms_values(oni)
     assert all(v == 1 for v in values.values())
     assert mf.is_totally_irreducible(oni, choice.alpha, values)
+    assert mf.apply_reduction(oni, choice.alpha, values) is None
     assert oni.m >= 2 * oni.n
 
 

@@ -211,7 +211,7 @@ def test_apply_reduction_rule1_example():
     values = mf.instance_mms_values(inst)
     assert values == {0: 3, 1: 3}
     assert mf.rule_target(inst, ALPHA34, 1, values) == 0
-    reduced, record = mf.apply_reduction(inst, ALPHA34, 1, 0, values)
+    reduced, record = mf.apply_reduction(inst, ALPHA34, values)
     assert record.rule == "R1"
     assert record.removed_goods == frozenset({"g1"})
     assert record.dummy_created is None
@@ -221,16 +221,19 @@ def test_apply_reduction_rule1_example():
 
 
 def test_apply_reduction_rule4_at_three_quarters_makes_no_dummy():
-    row = [200, 200, 140, 130, 70, 65, 65]
-    goods = [f"g{j}" for j in range(1, 8)]
-    inst = mf.make_instance(3, goods,
-                            {a: dict(zip(goods, row)) for a in range(3)})
+    goods = [f"g{j}" for j in range(1, 9)]
+    rows = ([89, 51, 35, 32, 22, 21, 7, 2], [94, 92, 51, 48, 40, 31, 18, 11])
+    inst = mf.make_instance(2, goods,
+                            {a: dict(zip(goods, row)) for a, row in enumerate(rows)})
     values = mf.instance_mms_values(inst)
-    assert values[0] == 270
-    assert mf.rule_target(inst, ALPHA34, 1, values) is None
-    assert mf.rule_target(inst, ALPHA34, 3, values) is None
+    assert values == {0: 129, 1: 192}
+    for k in (1, 2, 3):
+        assert mf.rule_target(inst, ALPHA34, k, values) is None
     assert mf.rule_target(inst, ALPHA34, 4, values) == 0
-    reduced, record = mf.apply_reduction(inst, ALPHA34, 4, 0, values)
+    reduced, record = mf.apply_reduction(inst, ALPHA34, values)
+    assert record.rule == "R4"
+    assert record.agent == 0
+    assert record.removed_goods == frozenset({"g1", "g5"})
     assert record.dummy_created is None
     assert reduced.dummies == ()
 
@@ -242,7 +245,8 @@ def test_apply_reduction_rule4_above_three_quarters_creates_dummy():
     for k in (1, 2, 3):
         assert mf.rule_target(inst, alpha, k, values) is None
     assert mf.rule_target(inst, alpha, 4, values) == 0
-    reduced, record = mf.apply_reduction(inst, alpha, 4, 0, values)
+    reduced, record = mf.apply_reduction(inst, alpha, values)
+    assert record.rule == "R4"
     dummy_id, dummy_values = record.dummy_created
     assert reduced.dummies == (dummy_id,)
     for a in reduced.agents:
@@ -265,27 +269,23 @@ def test_apply_reduction_rule4_zero_value_dummy():
     values = mf.instance_mms_values(inst)
     assert values[0] == 270
     assert mf.bundle_value(inst, 0, mf.rule_bundle(inst, 4)) == 270
-    reduced, record = mf.apply_reduction(inst, alpha, 4, 0, values)
+    reduced, record = mf.apply_reduction(inst, alpha, values)
+    assert record.rule == "R4"
     assert record.dummy_created[1] == {1: Fraction(0), 2: Fraction(0)}
     assert reduced.dummies == (record.dummy_created[0],)
 
 
-def test_apply_reduction_rule4_gated_on_rules_one_and_three():
+def test_apply_reduction_applies_first_rule_that_fits():
     inst = mf.gen_tight_example(3)
     alpha = ALPHA34 + Fraction(1, 36)
     values = mf.instance_mms_values(inst)
-    assert mf.rule_target(inst, alpha, 4, values) == 0
-    # rule 3 still applies on this instance, so rule 4 must be refused
-    assert mf.rule_target(inst, alpha, 3, values) == 0
-    with pytest.raises(mf.ContractError):
-        mf.apply_reduction(inst, alpha, 4, 0, values)
-
-
-def test_apply_reduction_rejects_wrong_agent():
-    inst = mf.gen_tight_example(3)
-    values = mf.instance_mms_values(inst)
-    with pytest.raises(mf.ContractError):
-        mf.apply_reduction(inst, ALPHA34, 2, 1, values)  # rule 2 selects agent 0
+    assert mf.rule_target(inst, alpha, 1, values) is None
+    for k in (2, 3, 4):
+        assert mf.rule_target(inst, alpha, k, values) == 0
+    _, record = mf.apply_reduction(inst, alpha, values)
+    assert record.rule == "R2"
+    assert record.removed_goods == frozenset(mf.rule_bundle(inst, 2))
+    assert record.dummy_created is None
 
 
 # --- the reduce loop --------------------------------------------------------
@@ -380,7 +380,7 @@ def test_lift_reductions_rejects_mismatched_agents():
 def test_reduction_log_json_shape():
     inst = rule4_dummy_instance()
     values = mf.instance_mms_values(inst)
-    _, record = mf.apply_reduction(inst, Fraction(7, 9), 4, 0, values)
+    _, record = mf.apply_reduction(inst, Fraction(7, 9), values)
     doc = record.to_json()
     assert doc["rule"] == "R4"
     assert doc["removed_goods"] == ["g1", "g7"]
