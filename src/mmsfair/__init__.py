@@ -6,7 +6,7 @@ rational arithmetic throughout, with an exhaustive maximin oracle for
 independent verification and generators for the known worst-case family.
 """
 
-from .bagfill import BagFillRun, BagState, TraceEvent, complete_allocation, run_bag_fill
+from .bagfill import BagFillRun, TraceEvent, complete_allocation, run_bag_fill
 from .core import (
     Allocation,
     Bundle,
@@ -53,7 +53,6 @@ from .transforms import (
     alpha_limit,
     apply_reduction,
     is_ordered,
-    is_totally_irreducible,
     lift_ordered,
     lift_reductions,
     normalize,
@@ -70,7 +69,6 @@ __all__ = [
     "Allocation",
     "AlphaChoice",
     "BagFillRun",
-    "BagState",
     "Bundle",
     "CapacityError",
     "ContractError",
@@ -104,7 +102,6 @@ __all__ = [
     "instance_mms_values",
     "instance_to_json",
     "is_ordered",
-    "is_totally_irreducible",
     "lift_ordered",
     "lift_reductions",
     "make_instance",

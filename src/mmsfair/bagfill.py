@@ -42,22 +42,15 @@ class TraceEvent:
 
 
 @dataclass(frozen=True)
-class BagState:
-    """Final loop state: bag contents plus whatever remained unassigned."""
-
-    bags: tuple            # bag index k -> frozenset of goods (index 0 = bag 1)
-    unassigned_goods: tuple
-    unsatisfied_agents: tuple
-    unassigned_bags: tuple
-    assignments: dict      # agent -> 1-based bag index
-
-
-@dataclass(frozen=True)
 class BagFillRun:
-    """Outcome of one bag-fill invocation; allocation is None on failure."""
+    """Outcome of one bag-fill invocation.
 
-    allocation: Optional[Allocation]
-    state: BagState
+    ``bundles`` maps each agent to its bag, or is None when the spare goods
+    ran out; ``assignments`` maps each satisfied agent to its 1-based bag.
+    """
+
+    bundles: Optional[dict]
+    assignments: dict
     trace: tuple
 
 
@@ -106,30 +99,23 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
         else:
             break
 
-    state = BagState(bags=tuple(frozenset(b) for b in bags),
-                     unassigned_goods=tuple(spare[spare_at:]),
-                     unsatisfied_agents=tuple(unsatisfied),
-                     unassigned_bags=tuple(open_bags),
-                     assignments=assignments)
-    allocation = None
+    bundles = None
     if not unsatisfied:
         bundles = {a: frozenset(bags[assignments[a] - 1]) for a in instance.agents}
-        allocation = Allocation(bundles=bundles, complete=False)
-        validate_allocation(instance, allocation)
-    return BagFillRun(allocation=allocation, state=state, trace=tuple(trace))
+    return BagFillRun(bundles=bundles, assignments=assignments, trace=tuple(trace))
 
 
-def complete_allocation(instance: Instance, partial: Allocation) -> Allocation:
+def complete_allocation(instance: Instance, bundles: dict) -> Allocation:
     """Hand each leftover real good to the agent who values it most.
 
-    Ties go to the lowest agent id.  Every agent must already have a
-    bundle in ``partial``; nobody's value decreases.
+    Ties go to the lowest agent id.  ``bundles`` must give every agent a
+    bundle; nobody's value decreases.  The result is validated, so bundles
+    that share a good or hold a dummy or unknown id raise ValidationError.
     """
-    if set(partial.bundles) != set(instance.agents):
-        raise ContractError("partial allocation must cover every agent")
-    validate_allocation(instance, Allocation(partial.bundles, complete=False))
-    taken = {g for bundle in partial.bundles.values() for g in bundle}
-    bundles = {a: set(partial.bundles[a]) for a in instance.agents}
+    if set(bundles) != set(instance.agents):
+        raise ContractError("bag bundles must cover every agent")
+    completed = {a: set(bundles[a]) for a in instance.agents}
+    taken = set().union(*bundles.values())
     agents = sorted(instance.agents)
     for g in instance.goods:
         if g in taken:
@@ -139,8 +125,7 @@ def complete_allocation(instance: Instance, partial: Allocation) -> Allocation:
             v = instance.value(a, g)
             if best is None or v > best_value:
                 best, best_value = a, v
-        bundles[best].add(g)
-    result = Allocation(bundles={a: frozenset(b) for a, b in bundles.items()},
-                        complete=True)
+        completed[best].add(g)
+    result = Allocation(bundles={a: frozenset(b) for a, b in completed.items()})
     validate_allocation(instance, result)
     return result

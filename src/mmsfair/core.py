@@ -149,14 +149,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-agent disjoint bundles of real goods.
+    """Per-agent bundles that exactly partition the instance's real goods.
 
-    ``complete`` means the bundles exactly partition the instance's real
-    goods; dummy goods are never allocated either way.
+    Dummy goods are never allocated.
     """
 
     bundles: dict
-    complete: bool = True
 
 
 def make_instance(
@@ -257,7 +255,7 @@ def validate_instance(instance: Instance) -> None:
 
 
 def validate_allocation(instance: Instance, allocation: Allocation) -> None:
-    """Check bundle disjointness, id validity, and the completeness flag."""
+    """Check that the bundles are disjoint, use known real goods, and cover them all."""
     if set(allocation.bundles) != set(instance.agents):
         raise ValidationError("allocation: agent set does not match instance")
     dummy_set = set(instance.dummies)
@@ -273,9 +271,9 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> None:
             if g in taken:
                 raise ValidationError(f"allocation: good {g!r} allocated twice")
             taken.add(g)
-    if allocation.complete and taken != good_set:
+    if taken != good_set:
         leftover = sorted(map(str, good_set - taken))
-        raise ValidationError(f"allocation marked complete but goods {leftover} unallocated")
+        raise ValidationError(f"allocation leaves goods {leftover} unallocated")
 
 
 def bundle_value(instance: Instance, agent, bundle: Iterable) -> Fraction:
@@ -417,7 +415,7 @@ def allocation_from_json(instance: Instance, doc: Mapping) -> Allocation:
         if a not in entries:
             raise ValidationError(f"allocation JSON: missing bundle for agent {a}")
         bundles[a] = frozenset(_id_list(entries[a], f"allocation JSON: bundle for agent {a}"))
-    alloc = Allocation(bundles=bundles, complete=True)
+    alloc = Allocation(bundles=bundles)
     validate_allocation(instance, alloc)
     return alloc
 

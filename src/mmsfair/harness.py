@@ -150,15 +150,13 @@ def verify(
     mms_values: Optional[Mapping] = None,
     max_goods: int = DEFAULT_MAX_GOODS,
 ) -> VerifyReport:
-    """Score a complete allocation: per-agent shares, ratios, and pass/fail.
+    """Score an allocation: per-agent shares, ratios, and pass/fail.
 
     Maximin shares are ``mms_values`` when given, else they come from the
     exhaustive oracle (or the instance's certificate when it has one).
     Agents with zero maximin share are treated as satisfied; if nobody has
     a positive share the score is 1.
     """
-    if not allocation.complete:
-        raise ContractError("verify requires a complete allocation")
     validate_allocation(instance, allocation)
     if mms_values is None:
         mms_values = instance_mms_values(instance, max_goods=max_goods)

@@ -36,7 +36,7 @@ from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
 from .transforms import (
     ReductionLog,
     alpha_limit,
-    is_totally_irreducible,
+    apply_reduction,
     lift_ordered,
     lift_reductions,
     normalize,
@@ -121,7 +121,7 @@ class SolveReport:
                 "events": len(self.bagfill.trace),
                 "fills": sum(1 for e in self.bagfill.trace if e.kind == "fill"),
                 "assignments": {str(a): k for a, k in
-                                sorted(self.bagfill.state.assignments.items())},
+                                sorted(self.bagfill.assignments.items())},
             },
         }
 
@@ -156,6 +156,7 @@ def approx_mms(
         bundles = {a: frozenset() for a in instance.agents}
         if instance.agents:
             bundles[instance.agents[0]] = frozenset(instance.goods)
+        allocation = Allocation(bundles=bundles)
         log = ReductionLog(records=(), initial=instance, final=instance)
     else:
         working = ordered.without(agents=peeled)
@@ -164,7 +165,7 @@ def approx_mms(
         final = log.final
         if final.n == 1:
             last = final.agents[0]
-            sub_alloc = Allocation(bundles={last: frozenset(final.goods)}, complete=True)
+            sub_alloc = Allocation(bundles={last: frozenset(final.goods)})
         else:
             renormalized = normalize(final, log.shares)
             irreducible, map2 = to_ordered(renormalized)
@@ -174,7 +175,7 @@ def approx_mms(
                 raise InternalInvariantError(
                     f"normalization did not pin every maximin share to 1: {bad}",
                     payload=(log, None))
-            if not is_totally_irreducible(irreducible, alpha, oni_values):
+            if apply_reduction(irreducible, alpha, oni_values) is not None:
                 raise InternalInvariantError(
                     "instance is still reducible after the reduce/normalize/order "
                     "composition", payload=(log, None))
@@ -183,11 +184,11 @@ def approx_mms(
                     f"only {irreducible.m} goods remain for {irreducible.n} bags",
                     payload=(log, None))
             bag_run = run_bag_fill(irreducible, alpha)
-            if bag_run.allocation is None:
+            if bag_run.bundles is None:
                 raise InternalInvariantError(
                     "bag filling ran out of goods on a reduced instance; this "
                     "contradicts the solver's guarantee", payload=(log, bag_run))
-            completed = complete_allocation(irreducible, bag_run.allocation)
+            completed = complete_allocation(irreducible, bag_run.bundles)
             # Renormalization kept the good ids, so this is directly an
             # allocation of the reduce output.
             sub_alloc = lift_ordered(map2, renormalized, completed)
@@ -195,9 +196,7 @@ def approx_mms(
         bundles = dict(lift_reductions(log, sub_alloc).bundles)
         for a in peeled:
             bundles[a] = frozenset()
-        bundles = lift_ordered(order_map, instance,
-                               Allocation(bundles=bundles, complete=True)).bundles
-    allocation = Allocation(bundles=bundles, complete=True)
+        allocation = lift_ordered(order_map, instance, Allocation(bundles=bundles))
 
     check = verify(instance, allocation, alpha, mms_values=base_values)
     if not check.passed:

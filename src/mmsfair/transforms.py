@@ -125,8 +125,6 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
     least their ordered bundle, since the pick at rank t is at least that
     agent's t-th largest value.
     """
-    if not ordered_alloc.complete:
-        raise ContractError("lift_ordered needs a complete ordered allocation")
     if set(ordered_alloc.bundles) != set(mapping.by_agent):
         raise ContractError("ordered allocation agents do not match the map")
     owner_of_rank = {}
@@ -148,8 +146,7 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
         cursor[a] = i + 1
         taken.add(prefs[i])
         bundles[a].add(prefs[i])
-    lifted = Allocation(bundles={a: frozenset(b) for a, b in bundles.items()},
-                        complete=True)
+    lifted = Allocation(bundles={a: frozenset(b) for a, b in bundles.items()})
     validate_allocation(original, lifted)
     return lifted
 
@@ -371,24 +368,17 @@ def replay_log(log: ReductionLog) -> list:
 def lift_reductions(log: ReductionLog, sub_alloc: Allocation) -> Allocation:
     """Reinstate reduced agents, newest first, each with their given bundle.
 
-    ``sub_alloc`` must be a complete allocation of the log's final
-    instance.  Dummy goods are never allocated; the result is a complete
-    allocation of the initial instance's real goods.
+    ``sub_alloc`` must be an allocation of the log's final instance.
+    Dummy goods are never allocated; the result is an allocation of the
+    initial instance's real goods.
     """
     if set(sub_alloc.bundles) != set(log.final.agents):
         raise ContractError("sub-allocation agents do not match the log's final instance")
-    if not sub_alloc.complete:
-        raise ContractError("lift_reductions needs a complete sub-allocation")
     validate_allocation(log.final, sub_alloc)
     bundles = dict(sub_alloc.bundles)
     for rec in reversed(log.records):
         bundles[rec.agent] = rec.removed_goods
-    lifted = Allocation(bundles=bundles, complete=True)
+    lifted = Allocation(bundles=bundles)
     validate_allocation(log.initial, lifted)
     return lifted
 
-
-def is_totally_irreducible(instance: Instance, alpha: Value,
-                           mms_values: Mapping) -> bool:
-    """True when no reduction rule applies at the given threshold."""
-    return all(rule_target(instance, alpha, k, mms_values) is None for k in RULES)

@@ -32,8 +32,7 @@ def random_complete_allocation(rng: random.Random, instance: mf.Instance) -> mf.
     bundles = {a: set() for a in instance.agents}
     for g in instance.goods:
         bundles[rng.choice(instance.agents)].add(g)
-    return mf.Allocation(bundles={a: frozenset(b) for a, b in bundles.items()},
-                         complete=True)
+    return mf.Allocation(bundles={a: frozenset(b) for a, b in bundles.items()})
 
 
 def rule4_dummy_instance() -> mf.Instance:

@@ -14,42 +14,42 @@ TAU3 = Fraction(8, 10)  # every initial bag's value on the 3-agent tight example
 def test_tight_example_assigns_all_initial_bags_without_fills():
     inst = mf.gen_tight_example(3)
     run = mf.run_bag_fill(inst, TAU3)
-    assert run.allocation is not None
+    assert run.bundles is not None
     assert all(e.kind == "assign" for e in run.trace)
     # lowest agent takes the lowest bag, in order
-    assert run.state.assignments == {0: 1, 1: 2, 2: 3}
+    assert run.assignments == {0: 1, 1: 2, 2: 3}
     for a in inst.agents:
-        assert mf.bundle_value(inst, a, run.allocation.bundles[a]) == TAU3
-        assert len(run.allocation.bundles[a]) == 2
-    assert run.state.unassigned_goods == ("g7", "g8")
+        assert mf.bundle_value(inst, a, run.bundles[a]) == TAU3
+        assert len(run.bundles[a]) == 2
+    assert set(inst.goods) - set().union(*run.bundles.values()) == {"g7", "g8"}
 
 
 def test_tight_example_fails_above_initial_bag_value():
     inst = mf.gen_tight_example(3)
     run = mf.run_bag_fill(inst, Fraction(9, 10))
-    assert run.allocation is None
+    assert run.bundles is None
     # two agents were satisfied by topping bags up, the third ran dry
-    assert len(run.state.unsatisfied_agents) == 1
-    assert len(run.state.unassigned_bags) == 1
-    assert run.state.unassigned_goods == ()
+    assert len(run.assignments) == 2
+    assert len(set(run.assignments.values())) == 2
+    # every spare good was filled into a bag
+    assert [e.good for e in run.trace if e.kind == "fill"] == list(inst.goods[6:])
 
 
 def test_single_agent_bag():
     inst = mf.make_instance(1, ["g1", "g2"],
                             {0: {"g1": "1/2", "g2": "1/2"}})
-    alloc = mf.run_bag_fill(inst, Fraction(3, 4)).allocation
-    assert alloc is not None
-    assert alloc.bundles[0] == frozenset({"g1", "g2"})
+    bundles = mf.run_bag_fill(inst, Fraction(3, 4)).bundles
+    assert bundles == {0: frozenset({"g1", "g2"})}
 
 
 def test_contract_errors():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 2, "g3": 1} for a in range(2)})
     with pytest.raises(mf.ContractError, match="at least"):
-        mf.run_bag_fill(inst, Fraction(3, 4)).allocation  # 3 goods < 2n
+        mf.run_bag_fill(inst, Fraction(3, 4))  # 3 goods < 2n
     unordered = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
     with pytest.raises(mf.ContractError, match="ordered"):
-        mf.run_bag_fill(unordered, Fraction(3, 4)).allocation
+        mf.run_bag_fill(unordered, Fraction(3, 4))
 
 
 def test_dummies_never_enter_bags():
@@ -58,9 +58,10 @@ def test_dummies_never_enter_bags():
                              for a in range(2)},
                             dummies=["d1"])
     run = mf.run_bag_fill(inst, Fraction(6))
-    placed = set().union(*run.state.bags)
-    assert "d1" not in placed
-    assert run.allocation is None  # both bags are worth 5 without the dummy
+    assert all(e.good != "d1" for e in run.trace)
+    assert run.bundles is None  # both bags are worth 5 without the dummy
+    run = mf.run_bag_fill(inst, Fraction(5))
+    assert "d1" not in set().union(*run.bundles.values())
 
 
 def _replay(instance, alpha, run):
@@ -100,23 +101,19 @@ def test_trace_replay_invariants():
 
 def test_complete_allocation_without_leftovers_is_identity():
     inst = mf.gen_tight_example(3)
-    run = mf.run_bag_fill(inst, TAU3)
-    partial = run.allocation
-    taken = set().union(*partial.bundles.values())
-    covered = mf.Allocation(
-        bundles={**partial.bundles,
-                 0: partial.bundles[0] | (set(inst.goods) - taken)},
-        complete=True)
-    assert mf.complete_allocation(inst, covered) == covered
+    bags = mf.run_bag_fill(inst, TAU3).bundles
+    taken = set().union(*bags.values())
+    covered = {**bags, 0: bags[0] | (set(inst.goods) - taken)}
+    assert mf.complete_allocation(inst, covered) == mf.Allocation(covered)
 
 
 def test_complete_allocation_tight_example_leftovers():
     inst = mf.gen_tight_example(3)
-    run = mf.run_bag_fill(inst, TAU3)
-    completed = mf.complete_allocation(inst, run.allocation)
-    assert completed.complete
+    bags = mf.run_bag_fill(inst, TAU3).bundles
+    completed = mf.complete_allocation(inst, bags)
+    mf.validate_allocation(inst, completed)
     # identical valuations: both leftovers go to the lowest agent id
-    assert completed.bundles[0] == run.allocation.bundles[0] | {"g7", "g8"}
+    assert completed.bundles[0] == bags[0] | {"g7", "g8"}
     for a in inst.agents:
         assert mf.bundle_value(inst, a, completed.bundles[a]) >= TAU3
 
@@ -124,9 +121,7 @@ def test_complete_allocation_tight_example_leftovers():
 def test_complete_allocation_zero_valued_leftover():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 1, "g2": 1, "g3": 0} for a in range(2)})
-    partial = mf.Allocation({0: frozenset({"g1"}), 1: frozenset({"g2"})},
-                            complete=False)
-    completed = mf.complete_allocation(inst, partial)
+    completed = mf.complete_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})})
     assert "g3" in completed.bundles[0]
     assert mf.bundle_value(inst, 0, completed.bundles[0]) == 1
 
@@ -135,13 +130,24 @@ def test_complete_allocation_prefers_highest_valuing_agent():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {0: {"g1": 5, "g2": 1, "g3": 1},
                              1: {"g1": 5, "g2": 1, "g3": 9}})
-    partial = mf.Allocation({0: frozenset({"g1"}), 1: frozenset({"g2"})},
-                            complete=False)
-    completed = mf.complete_allocation(inst, partial)
+    completed = mf.complete_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})})
     assert "g3" in completed.bundles[1]
 
 
 def test_complete_allocation_requires_bundles_for_everyone():
     inst = random_instance(6, 2, 4)
     with pytest.raises(mf.ContractError):
-        mf.complete_allocation(inst, mf.Allocation({0: frozenset()}, complete=False))
+        mf.complete_allocation(inst, {0: frozenset()})
+
+
+@pytest.mark.parametrize("bundles, message", [
+    ({0: frozenset({"g1"}), 1: frozenset({"g1", "g2"})}, "'g1' allocated twice"),
+    ({0: frozenset({"g1", "d1"}), 1: frozenset({"g2"})}, "dummy good 'd1'"),
+    ({0: frozenset({"g1", "g9"}), 1: frozenset({"g2"})}, "unknown good 'g9'"),
+])
+def test_complete_allocation_rejects_bad_bundles(bundles, message):
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 2, "g3": 1, "d1": 1} for a in range(2)},
+                            dummies=["d1"])
+    with pytest.raises(mf.ValidationError, match=message):
+        mf.complete_allocation(inst, bundles)

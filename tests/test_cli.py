@@ -321,7 +321,9 @@ def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeyp
     trace = _solve_trace(tmp_path, capsys, inst_file)
     assert trace["bagfill"], "the instance must reach bag filling"
 
-    monkeypatch.setattr(pipeline, "is_totally_irreducible", lambda *args: False)
+    # The irreducibility check finds a step where there is none.
+    monkeypatch.setattr(pipeline, "apply_reduction",
+                        lambda instance, alpha, values: (instance, None))
     doc = _exit_4_dump(capsys, inst_file)
     assert doc == {"reductions": trace["reductions"], "bagfill": []}
 

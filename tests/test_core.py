@@ -143,7 +143,7 @@ def test_instance_json_rejects_missing_rows():
 def test_allocation_json_roundtrip():
     inst = random_instance(3, 2, 4)
     alloc = mf.Allocation(bundles={0: frozenset({"g1", "g4"}),
-                                   1: frozenset({"g2", "g3"})}, complete=True)
+                                   1: frozenset({"g2", "g3"})})
     doc = mf.allocation_to_json(inst, alloc)
     assert doc == {"0": ["g1", "g4"], "1": ["g2", "g3"]}
     assert mf.allocation_from_json(inst, doc) == alloc
@@ -156,18 +156,19 @@ def test_validate_allocation_rejects_overlap_dummy_and_incomplete():
                             dummies=["d1"])
     with pytest.raises(mf.ValidationError, match="twice"):
         mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1"}), 1: frozenset({"g1", "g2"})}, complete=True))
+            {0: frozenset({"g1"}), 1: frozenset({"g1", "g2"})}))
     with pytest.raises(mf.ValidationError, match="dummy"):
         mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1", "d1"}), 1: frozenset({"g2"})}, complete=True))
-    with pytest.raises(mf.ValidationError, match="unallocated"):
+            {0: frozenset({"g1", "d1"}), 1: frozenset({"g2"})}))
+    with pytest.raises(mf.ValidationError, match=r"leaves goods \['g2'\] unallocated"):
         mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1"}), 1: frozenset()}, complete=True))
-    # same bundles are fine when declared partial
-    mf.validate_allocation(inst, mf.Allocation(
-        {0: frozenset({"g1"}), 1: frozenset()}, complete=False))
+            {0: frozenset({"g1"}), 1: frozenset()}))
 
 
 def test_fresh_id_avoids_collisions():
     assert fresh_id("d", ["g1"]) == "d1"
     assert fresh_id("d", ["d1", "d2"]) == "d3"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in mf.__all__ if not hasattr(mf, name)] == []

@@ -92,7 +92,7 @@ def test_verify_tight_bags_score():
         0: frozenset({"g1", "g6", "g7", "g8"}),
         1: frozenset({"g2", "g5"}),
         2: frozenset({"g3", "g4"}),
-    }, complete=True)
+    })
     check = mf.verify(inst, alloc, Fraction(8, 10))
     assert check.score == Fraction(8, 10)
     assert check.passed
@@ -102,8 +102,7 @@ def test_verify_tight_bags_score():
 def test_verify_flags_starved_agent():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {a: {"g1": 1, "g2": 1} for a in range(2)})
-    greedy = mf.Allocation({0: frozenset({"g1", "g2"}), 1: frozenset()},
-                           complete=True)
+    greedy = mf.Allocation({0: frozenset({"g1", "g2"}), 1: frozenset()})
     check = mf.verify(inst, greedy, Fraction(3, 4))
     assert not check.passed
     assert check.per_agent[1][2] == 0
@@ -125,8 +124,7 @@ def test_verify_scores_against_given_shares():
 def test_verify_zero_share_agents_are_unconstrained():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
-    alloc = mf.Allocation({0: frozenset(), 1: frozenset({"g1", "g2"})},
-                          complete=True)
+    alloc = mf.Allocation({0: frozenset(), 1: frozenset({"g1", "g2"})})
     # agent 0 has zero share and an empty bundle; only agent 1 counts
     check = mf.verify(inst, alloc, Fraction(3, 4))
     assert check.score == 2 and check.per_agent[0][2] is None
@@ -138,13 +136,12 @@ def test_verify_zero_share_agents_are_unconstrained():
 def test_verify_uses_certificates_beyond_capacity():
     inst = mf.gen_tight_example(9)  # 26 goods
     cells = list(inst.certificates[0])
-    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents}, complete=True)
+    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents})
     check = mf.verify(inst, alloc, Fraction(3, 4))
     assert check.passed and check.score == 1
 
 
 def test_verify_requires_complete_allocation():
     inst = random_instance(2, 2, 4)
-    with pytest.raises(mf.ContractError):
-        mf.verify(inst, mf.Allocation({0: frozenset(), 1: frozenset()},
-                                      complete=False), Fraction(1, 2))
+    with pytest.raises(mf.ValidationError, match="unallocated"):
+        mf.verify(inst, mf.Allocation({0: frozenset(), 1: frozenset()}), Fraction(1, 2))

@@ -71,7 +71,7 @@ def test_lift_ordered_two_agent_example():
                             {0: {"g1": 1, "g2": 3}, 1: {"g1": 2, "g2": 2}})
     ordered, mapping = mf.to_ordered(inst)
     ordered_alloc = mf.Allocation({0: frozenset({ordered.goods[0]}),
-                                   1: frozenset({ordered.goods[1]})}, complete=True)
+                                   1: frozenset({ordered.goods[1]})})
     lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
     assert lifted.bundles[0] == frozenset({"g2"})
     assert lifted.bundles[1] == frozenset({"g1"})
@@ -80,7 +80,7 @@ def test_lift_ordered_two_agent_example():
 def test_lift_ordered_single_agent_gets_everything():
     inst = random_instance(3, 1, 5)
     ordered, mapping = mf.to_ordered(inst)
-    ordered_alloc = mf.Allocation({0: frozenset(ordered.goods)}, complete=True)
+    ordered_alloc = mf.Allocation({0: frozenset(ordered.goods)})
     lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
     assert lifted.bundles[0] == frozenset(inst.goods)
 
@@ -111,9 +111,8 @@ def test_lift_ordered_dominates_ordered_values():
 def test_lift_ordered_rejects_incomplete_input():
     inst = random_instance(4, 2, 4)
     ordered, mapping = mf.to_ordered(inst)
-    partial = mf.Allocation({0: frozenset({ordered.goods[0]}), 1: frozenset()},
-                            complete=False)
-    with pytest.raises(mf.ContractError):
+    partial = mf.Allocation({0: frozenset({ordered.goods[0]}), 1: frozenset()})
+    with pytest.raises(mf.ContractError, match="does not cover the rank goods"):
         mf.lift_ordered(mapping, inst, partial)
 
 
@@ -347,7 +346,7 @@ def test_lift_reductions_reinstates_rule1_agent():
                              for a in range(2)})
     log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
     assert [r.rule for r in log.records] == ["R1"]
-    sub = mf.Allocation({1: frozenset(log.final.goods)}, complete=True)
+    sub = mf.Allocation({1: frozenset(log.final.goods)})
     lifted = mf.lift_reductions(log, sub)
     assert lifted.bundles[0] == frozenset({"g1"})
     assert mf.bundle_value(inst, 0, lifted.bundles[0]) >= \
@@ -360,7 +359,7 @@ def test_lift_reductions_full_chain_single_survivor():
     log = mf.reduce(ordered, mf.alpha_limit(4), mf.instance_mms_all(ordered))
     if log.final.n == 1:
         survivor = log.final.agents[0]
-        sub = mf.Allocation({survivor: frozenset(log.final.goods)}, complete=True)
+        sub = mf.Allocation({survivor: frozenset(log.final.goods)})
         lifted = mf.lift_reductions(log, sub)
         assert set(lifted.bundles) == set(ordered.agents)
         covered = [g for b in lifted.bundles.values() for g in b]
@@ -372,7 +371,7 @@ def test_lift_reductions_rejects_mismatched_agents():
                             {a: {"g1": 10, "g2": 1, "g3": 1, "g4": 1}
                              for a in range(2)})
     log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
-    bad = mf.Allocation({0: frozenset(log.final.goods)}, complete=True)
+    bad = mf.Allocation({0: frozenset(log.final.goods)})
     with pytest.raises(mf.ContractError):
         mf.lift_reductions(log, bad)
 
