@@ -8,7 +8,6 @@ independent verification and generators for the known worst-case family.
 
 from .bagfill import BagFillRun, TraceEvent, complete_allocation, run_bag_fill
 from .core import (
-    Allocation,
     Bundle,
     Instance,
     Value,
@@ -35,7 +34,6 @@ from .harness import (
     VerifyReport,
     gen_random,
     gen_tight_example,
-    generate,
     verify,
 )
 from .oracle import (
@@ -66,7 +64,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
     "AlphaChoice",
     "BagFillRun",
     "Bundle",
@@ -96,7 +93,6 @@ __all__ = [
     "format_value",
     "gen_random",
     "gen_tight_example",
-    "generate",
     "instance_from_json",
     "instance_mms_all",
     "instance_mms_values",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Allocation, Instance, Value, ZERO, format_value, validate_allocation
+from .core import Instance, Value, ZERO, format_value, validate_allocation
 from .errors import ContractError
 from .transforms import is_ordered
 
@@ -105,7 +105,7 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
     return BagFillRun(bundles=bundles, assignments=assignments, trace=tuple(trace))
 
 
-def complete_allocation(instance: Instance, bundles: dict) -> Allocation:
+def complete_allocation(instance: Instance, bundles: dict) -> dict:
     """Hand each leftover real good to the agent who values it most.
 
     Ties go to the lowest agent id.  ``bundles`` must give every agent a
@@ -126,6 +126,6 @@ def complete_allocation(instance: Instance, bundles: dict) -> Allocation:
             if best is None or v > best_value:
                 best, best_value = a, v
         completed[best].add(g)
-    result = Allocation(bundles={a: frozenset(b) for a, b in completed.items()})
+    result = {a: frozenset(b) for a, b in completed.items()}
     validate_allocation(instance, result)
     return result

@@ -31,8 +31,8 @@ from .errors import (
     InternalInvariantError,
     ValidationError,
 )
-from .harness import GeneratorSpec, generate, verify
-from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
+from .harness import GeneratorSpec, gen_random, gen_tight_example, verify
+from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, mms
 from .pipeline import alpha_for, approx_mms
 
 
@@ -81,17 +81,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mms(args) -> int:
     instance = _load_instance(args.input)
-    if args.agent is not None and args.agent not in instance.agents:
-        raise ValidationError(f"unknown agent {args.agent}")
-    results = instance_mms_all(instance, max_goods=args.max_goods)
-    agents = instance.agents if args.agent is None else (args.agent,)
+    agent = args.agent
+    if agent is not None and agent not in instance.agents:
+        raise ValidationError(f"unknown agent {agent}")
+    if agent is None:
+        results = instance_mms_all(instance, max_goods=args.max_goods)
+    else:  # search this agent's share only
+        cert = (instance.certificates or {}).get(agent)
+        results = {agent: mms(instance.valuations[agent], instance.n, instance.all_goods,
+                              certificate=cert, max_goods=args.max_goods)}
     doc = {
         str(a): {
             "mms": format_value(results[a].value),
             "partition": [sorted(cell, key=instance.good_position.__getitem__)
                           for cell in results[a].partition],
         }
-        for a in agents
+        for a in results
     }
     _write_json(doc, args.output)
     return 0
@@ -108,11 +113,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.family == "tight":
-        spec = GeneratorSpec(kind="tight", n=args.n)
+        instance = gen_tight_example(args.n)
     else:
-        spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m,
-                             value_bound=args.bound, seed=args.seed)
-    _write_json(instance_to_json(generate(spec)), args.output)
+        instance = gen_random(GeneratorSpec(kind=args.kind, n=args.n, m=args.m,
+                                            value_bound=args.bound, seed=args.seed))
+    _write_json(instance_to_json(instance), args.output)
     return 0
 
 
@@ -130,7 +135,7 @@ def _cmd_bench(args) -> int:
         n, m = grid[i % len(grid)]
         spec = GeneratorSpec(kind="uniform-int", n=n, m=m, value_bound=100,
                              seed=args.seed + i)
-        instance = generate(spec)
+        instance = gen_random(spec)
         choice = alpha_for(instance.n, "improved")
         report = approx_mms(instance, choice, max_goods=args.max_goods)
         results.append({

@@ -8,6 +8,10 @@ An instance holds a set of agents, a list of real goods, an optional list
 of dummy goods (bookkeeping goods that influence maximin-share values but
 are never allocated), and a per-agent valuation table over all goods.
 Instances are immutable: transformations return new instances.
+
+An allocation is a plain dict {agent: frozenset of real good ids} with
+one bundle per agent; ``validate_allocation`` checks that its bundles
+partition the real goods.
 """
 
 from __future__ import annotations
@@ -147,16 +151,6 @@ class Instance:
             certificates=None if changed else self.certificates)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Per-agent bundles that exactly partition the instance's real goods.
-
-    Dummy goods are never allocated.
-    """
-
-    bundles: dict
-
-
 def make_instance(
     n_or_agents,
     goods: Iterable,
@@ -254,16 +248,15 @@ def validate_instance(instance: Instance) -> None:
                     f"certificates[{a}]: cells are not equal-valued")
 
 
-def validate_allocation(instance: Instance, allocation: Allocation) -> None:
+def validate_allocation(instance: Instance, allocation: dict) -> None:
     """Check that the bundles are disjoint, use known real goods, and cover them all."""
-    if set(allocation.bundles) != set(instance.agents):
+    if set(allocation) != set(instance.agents):
         raise ValidationError("allocation: agent set does not match instance")
     dummy_set = set(instance.dummies)
     good_set = set(instance.goods)
     taken = set()
     for a in instance.agents:
-        bundle = allocation.bundles[a]
-        for g in bundle:
+        for g in allocation[a]:
             if g in dummy_set:
                 raise ValidationError(f"allocation[{a}]: dummy good {g!r} allocated")
             if g not in good_set:
@@ -401,23 +394,22 @@ def instance_from_json(doc: Mapping) -> Instance:
     return make_instance(n, goods, rows, dummies=dummies, certificates=certs)
 
 
-def allocation_to_json(instance: Instance, allocation: Allocation) -> dict:
+def allocation_to_json(instance: Instance, allocation: dict) -> dict:
     return {
-        str(a): sorted(allocation.bundles[a], key=instance.good_position.__getitem__)
+        str(a): sorted(allocation[a], key=instance.good_position.__getitem__)
         for a in instance.agents
     }
 
 
-def allocation_from_json(instance: Instance, doc: Mapping) -> Allocation:
+def allocation_from_json(instance: Instance, doc: Mapping) -> dict:
     entries = _by_agent(doc, set(instance.agents), "allocation JSON")
     bundles = {}
     for a in instance.agents:
         if a not in entries:
             raise ValidationError(f"allocation JSON: missing bundle for agent {a}")
         bundles[a] = frozenset(_id_list(entries[a], f"allocation JSON: bundle for agent {a}"))
-    alloc = Allocation(bundles=bundles)
-    validate_allocation(instance, alloc)
-    return alloc
+    validate_allocation(instance, bundles)
+    return bundles
 
 
 def fresh_id(prefix: str, taken: Iterable) -> str:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import (
-    Allocation,
     Instance,
     Value,
     bundle_value,
@@ -45,8 +44,6 @@ class GeneratorSpec:
     seed: int = 0
 
     def instance_id(self) -> str:
-        if self.kind == "tight":
-            return f"tight-n{self.n}"
         return f"{self.kind}-n{self.n}-m{self.m}-b{self.value_bound}-s{self.seed}"
 
 
@@ -103,16 +100,6 @@ def gen_random(spec: GeneratorSpec) -> Instance:
     return make_instance(spec.n, goods, valuations)
 
 
-def generate(spec: GeneratorSpec) -> Instance:
-    """Dispatch a GeneratorSpec to the right generator."""
-    if spec.kind == "tight":
-        if spec.m not in (0, 3 * spec.n - 1):
-            raise ContractError(
-                f"tight instances have m = 3n-1 = {3 * spec.n - 1}, got {spec.m}")
-        return gen_tight_example(spec.n)
-    return gen_random(spec)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Independent per-agent scoring of an allocation against a threshold."""
@@ -144,7 +131,7 @@ def per_agent_json(per_agent: Mapping) -> dict:
 
 def verify(
     instance: Instance,
-    allocation: Allocation,
+    allocation: dict,
     alpha: Value,
     *,
     mms_values: Optional[Mapping] = None,
@@ -163,7 +150,7 @@ def verify(
     per_agent = {}
     ratios = []
     for a in instance.agents:
-        bv = bundle_value(instance, a, allocation.bundles[a])
+        bv = bundle_value(instance, a, allocation[a])
         mv = mms_values[a]
         ratio = bv / mv if mv > 0 else None
         per_agent[a] = (bv, mv, ratio)

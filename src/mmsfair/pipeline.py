@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from .bagfill import BagFillRun, complete_allocation, run_bag_fill
 from .core import (
-    Allocation,
     Instance,
     Value,
     allocation_to_json,
@@ -95,7 +94,7 @@ class SolveReport:
     reductions left a single agent and bag filling was skipped).
     """
 
-    allocation: Allocation
+    allocation: dict  # agent -> frozenset of real good ids
     score: Value
     alpha: AlphaChoice
     reduction_log: ReductionLog
@@ -153,10 +152,9 @@ def approx_mms(
     bag_run = irreducible = None
     if len(peeled) == instance.n:
         # Nobody can secure positive value; park all goods on the first agent.
-        bundles = {a: frozenset() for a in instance.agents}
+        allocation = {a: frozenset() for a in instance.agents}
         if instance.agents:
-            bundles[instance.agents[0]] = frozenset(instance.goods)
-        allocation = Allocation(bundles=bundles)
+            allocation[instance.agents[0]] = frozenset(instance.goods)
         log = ReductionLog(records=(), initial=instance, final=instance)
     else:
         working = ordered.without(agents=peeled)
@@ -165,7 +163,7 @@ def approx_mms(
         final = log.final
         if final.n == 1:
             last = final.agents[0]
-            sub_alloc = Allocation(bundles={last: frozenset(final.goods)})
+            sub_alloc = {last: frozenset(final.goods)}
         else:
             renormalized = normalize(final, log.shares)
             irreducible, map2 = to_ordered(renormalized)
@@ -193,10 +191,10 @@ def approx_mms(
             # allocation of the reduce output.
             sub_alloc = lift_ordered(map2, renormalized, completed)
 
-        bundles = dict(lift_reductions(log, sub_alloc).bundles)
+        bundles = lift_reductions(log, sub_alloc)
         for a in peeled:
             bundles[a] = frozenset()
-        allocation = lift_ordered(order_map, instance, Allocation(bundles=bundles))
+        allocation = lift_ordered(order_map, instance, bundles)
 
     check = verify(instance, allocation, alpha, mms_values=base_values)
     if not check.passed:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import (
-    Allocation,
     Bundle,
     Instance,
     Value,
@@ -115,8 +114,7 @@ def to_ordered(instance: Instance) -> tuple:
     return ordered, OrderingMap(rank_goods=rank_goods, by_agent=by_agent)
 
 
-def lift_ordered(mapping: OrderingMap, original: Instance,
-                 ordered_alloc: Allocation) -> Allocation:
+def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) -> dict:
     """Lift an allocation of the ordered instance back to the original.
 
     Picking procedure: walk ranks in increasing order; the agent holding
@@ -125,10 +123,10 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
     least their ordered bundle, since the pick at rank t is at least that
     agent's t-th largest value.
     """
-    if set(ordered_alloc.bundles) != set(mapping.by_agent):
+    if set(ordered_alloc) != set(mapping.by_agent):
         raise ContractError("ordered allocation agents do not match the map")
     owner_of_rank = {}
-    for a, bundle in ordered_alloc.bundles.items():
+    for a, bundle in ordered_alloc.items():
         for g in bundle:
             owner_of_rank[g] = a
     if set(owner_of_rank) != set(mapping.rank_goods):
@@ -146,7 +144,7 @@ def lift_ordered(mapping: OrderingMap, original: Instance,
         cursor[a] = i + 1
         taken.add(prefs[i])
         bundles[a].add(prefs[i])
-    lifted = Allocation(bundles={a: frozenset(b) for a, b in bundles.items()})
+    lifted = {a: frozenset(b) for a, b in bundles.items()}
     validate_allocation(original, lifted)
     return lifted
 
@@ -365,20 +363,19 @@ def replay_log(log: ReductionLog) -> list:
     return instances
 
 
-def lift_reductions(log: ReductionLog, sub_alloc: Allocation) -> Allocation:
+def lift_reductions(log: ReductionLog, sub_alloc: dict) -> dict:
     """Reinstate reduced agents, newest first, each with their given bundle.
 
     ``sub_alloc`` must be an allocation of the log's final instance.
     Dummy goods are never allocated; the result is an allocation of the
     initial instance's real goods.
     """
-    if set(sub_alloc.bundles) != set(log.final.agents):
+    if set(sub_alloc) != set(log.final.agents):
         raise ContractError("sub-allocation agents do not match the log's final instance")
     validate_allocation(log.final, sub_alloc)
-    bundles = dict(sub_alloc.bundles)
+    lifted = dict(sub_alloc)
     for rec in reversed(log.records):
-        bundles[rec.agent] = rec.removed_goods
-    lifted = Allocation(bundles=bundles)
+        lifted[rec.agent] = rec.removed_goods
     validate_allocation(log.initial, lifted)
     return lifted
 

@@ -27,12 +27,12 @@ def random_instance(seed, n, m, bound=20, min_value=0, rational=False) -> mf.Ins
     return mf.make_instance(n, goods, vals)
 
 
-def random_complete_allocation(rng: random.Random, instance: mf.Instance) -> mf.Allocation:
+def random_complete_allocation(rng: random.Random, instance: mf.Instance) -> dict:
     """Assign every real good to a uniformly random agent."""
     bundles = {a: set() for a in instance.agents}
     for g in instance.goods:
         bundles[rng.choice(instance.agents)].add(g)
-    return mf.Allocation(bundles={a: frozenset(b) for a, b in bundles.items()})
+    return {a: frozenset(b) for a, b in bundles.items()}
 
 
 def rule4_dummy_instance() -> mf.Instance:

@@ -261,19 +261,18 @@ def test_criterion_7_lift_correctness():
         ordered_alloc = random_complete_allocation(rng, ordered)
         lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
         for a in inst.agents:
-            if mf.bundle_value(inst, a, lifted.bundles[a]) < \
-                    mf.bundle_value(ordered, a, ordered_alloc.bundles[a]):
+            if mf.bundle_value(inst, a, lifted[a]) < \
+                    mf.bundle_value(ordered, a, ordered_alloc[a]):
                 violations.append((i, "ordered lift", a))
 
         choice = mf.alpha_for(n, "improved")
         log = mf.reduce(ordered, choice.alpha, mf.instance_mms_all(ordered))
         sub_bundles = {a: frozenset() for a in log.final.agents}
         sub_bundles[log.final.agents[0]] = frozenset(log.final.goods)
-        relifted = mf.lift_reductions(
-            log, mf.Allocation(bundles=sub_bundles))
+        relifted = mf.lift_reductions(log, sub_bundles)
         for rec in log.records:
             reductions_checked += 1
-            if relifted.bundles[rec.agent] != rec.removed_goods:
+            if relifted[rec.agent] != rec.removed_goods:
                 violations.append((i, "reinstated bundle", rec.agent))
             held = mf.bundle_value(ordered, rec.agent, rec.removed_goods)
             if held < choice.alpha * rec.pre_mms[rec.agent]:

@@ -104,7 +104,7 @@ def test_complete_allocation_without_leftovers_is_identity():
     bags = mf.run_bag_fill(inst, TAU3).bundles
     taken = set().union(*bags.values())
     covered = {**bags, 0: bags[0] | (set(inst.goods) - taken)}
-    assert mf.complete_allocation(inst, covered) == mf.Allocation(covered)
+    assert mf.complete_allocation(inst, covered) == covered
 
 
 def test_complete_allocation_tight_example_leftovers():
@@ -113,17 +113,17 @@ def test_complete_allocation_tight_example_leftovers():
     completed = mf.complete_allocation(inst, bags)
     mf.validate_allocation(inst, completed)
     # identical valuations: both leftovers go to the lowest agent id
-    assert completed.bundles[0] == bags[0] | {"g7", "g8"}
+    assert completed[0] == bags[0] | {"g7", "g8"}
     for a in inst.agents:
-        assert mf.bundle_value(inst, a, completed.bundles[a]) >= TAU3
+        assert mf.bundle_value(inst, a, completed[a]) >= TAU3
 
 
 def test_complete_allocation_zero_valued_leftover():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 1, "g2": 1, "g3": 0} for a in range(2)})
     completed = mf.complete_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})})
-    assert "g3" in completed.bundles[0]
-    assert mf.bundle_value(inst, 0, completed.bundles[0]) == 1
+    assert "g3" in completed[0]
+    assert mf.bundle_value(inst, 0, completed[0]) == 1
 
 
 def test_complete_allocation_prefers_highest_valuing_agent():
@@ -131,7 +131,7 @@ def test_complete_allocation_prefers_highest_valuing_agent():
                             {0: {"g1": 5, "g2": 1, "g3": 1},
                              1: {"g1": 5, "g2": 1, "g3": 9}})
     completed = mf.complete_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})})
-    assert "g3" in completed.bundles[1]
+    assert "g3" in completed[1]
 
 
 def test_complete_allocation_requires_bundles_for_everyone():

@@ -192,6 +192,24 @@ def test_mms_rejects_an_unknown_agent_before_searching(tmp_path, capsys):
     assert "unknown agent 7" in err
 
 
+def test_mms_agent_searches_only_that_agents_share(tmp_path, capsys):
+    # 22 goods is over the default search limit; only agent 0 is certified.
+    goods = [f"g{j}" for j in range(1, 23)]
+    doc = {"agents": 2, "goods": goods,
+           "valuations": {"0": {g: 1 for g in goods},
+                          "1": {g: (7 * j) % 11 + 1 for j, g in enumerate(goods)}},
+           "certificates": {"0": [goods[:11], goods[11:]]}}
+    inst_file = tmp_path / "half_certified.json"
+    inst_file.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file), "--agent", "0")
+    assert code == 0, err
+    shares = json.loads(out)
+    assert list(shares) == ["0"] and shares["0"]["mms"] == "11/1"
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file), "--agent", "1")
+    assert code == 3 and out == ""
+    assert "capacity" in err
+
+
 def test_exit_code_capacity_error(tmp_path, capsys):
     inst_file = tmp_path / "big.json"
     _run(capsys, "gen", "random", "--n", "2", "--m", "21", "--bound", "5",

@@ -1,9 +1,11 @@
 """Core model: exact values, instance validation, bundle sums, JSON I/O."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 from mmsfair.core import fresh_id
@@ -142,11 +144,35 @@ def test_instance_json_rejects_missing_rows():
 
 def test_allocation_json_roundtrip():
     inst = random_instance(3, 2, 4)
-    alloc = mf.Allocation(bundles={0: frozenset({"g1", "g4"}),
-                                   1: frozenset({"g2", "g3"})})
+    alloc = {0: frozenset({"g1", "g4"}), 1: frozenset({"g2", "g3"})}
     doc = mf.allocation_to_json(inst, alloc)
     assert doc == {"0": ["g1", "g4"], "1": ["g2", "g3"]}
     assert mf.allocation_from_json(inst, doc) == alloc
+
+
+@st.composite
+def _instance_and_allocation(draw):
+    """1-4 agents, 0-9 goods, 0-2 dummies, int or p/q values, any complete allocation."""
+    n = draw(st.integers(1, 4))
+    goods = [f"g{j}" for j in range(1, draw(st.integers(0, 9)) + 1)]
+    dummies = [f"d{j}" for j in range(1, draw(st.integers(0, 2)) + 1)]
+    value = st.one_of(st.integers(0, 1000),
+                      st.builds("{}/{}".format, st.integers(0, 1000), st.integers(1, 1000)))
+    valuations = {a: {g: draw(value) for g in goods + dummies} for a in range(n)}
+    inst = mf.make_instance(n, goods, valuations, dummies=dummies)
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=len(goods), max_size=len(goods)))
+    alloc = {a: frozenset(g for g, o in zip(goods, owners) if o == a) for a in range(n)}
+    return inst, alloc
+
+
+@settings(max_examples=30)
+@given(_instance_and_allocation())
+def test_instance_and_allocation_json_roundtrip(case):
+    inst, alloc = case
+    inst_text = json.dumps(mf.instance_to_json(inst))
+    assert mf.instance_from_json(json.loads(inst_text)) == inst
+    alloc_text = json.dumps(mf.allocation_to_json(inst, alloc))
+    assert mf.allocation_from_json(inst, json.loads(alloc_text)) == alloc
 
 
 def test_validate_allocation_rejects_overlap_dummy_and_incomplete():
@@ -155,14 +181,11 @@ def test_validate_allocation_rejects_overlap_dummy_and_incomplete():
                              1: {"g1": 1, "g2": 1, "d1": 0}},
                             dummies=["d1"])
     with pytest.raises(mf.ValidationError, match="twice"):
-        mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1"}), 1: frozenset({"g1", "g2"})}))
+        mf.validate_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g1", "g2"})})
     with pytest.raises(mf.ValidationError, match="dummy"):
-        mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1", "d1"}), 1: frozenset({"g2"})}))
+        mf.validate_allocation(inst, {0: frozenset({"g1", "d1"}), 1: frozenset({"g2"})})
     with pytest.raises(mf.ValidationError, match=r"leaves goods \['g2'\] unallocated"):
-        mf.validate_allocation(inst, mf.Allocation(
-            {0: frozenset({"g1"}), 1: frozenset()}))
+        mf.validate_allocation(inst, {0: frozenset({"g1"}), 1: frozenset()})
 
 
 def test_fresh_id_avoids_collisions():

@@ -67,14 +67,9 @@ def test_gen_random_zero_bound_gives_all_zero():
     assert all(v == 0 for row in inst.valuations.values() for v in row.values())
 
 
-def test_generate_dispatch_and_spec_ids():
-    tight = mf.GeneratorSpec(kind="tight", n=4)
-    assert mf.generate(tight) == mf.gen_tight_example(4)
-    assert tight.instance_id() == "tight-n4"
-    rand = mf.GeneratorSpec(kind="uniform-int", n=2, m=4, value_bound=10, seed=7)
-    assert mf.generate(rand) == mf.gen_random(rand)
-    with pytest.raises(mf.ContractError):
-        mf.generate(mf.GeneratorSpec(kind="tight", n=4, m=5))
+def test_random_spec_id():
+    spec = mf.GeneratorSpec(kind="uniform-int", n=2, m=4, value_bound=10, seed=7)
+    assert spec.instance_id() == "uniform-int-n2-m4-b10-s7"
 
 
 def test_verify_passes_pipeline_output():
@@ -88,11 +83,11 @@ def test_verify_passes_pipeline_output():
 
 def test_verify_tight_bags_score():
     inst = mf.gen_tight_example(3)
-    alloc = mf.Allocation(bundles={
+    alloc = {
         0: frozenset({"g1", "g6", "g7", "g8"}),
         1: frozenset({"g2", "g5"}),
         2: frozenset({"g3", "g4"}),
-    })
+    }
     check = mf.verify(inst, alloc, Fraction(8, 10))
     assert check.score == Fraction(8, 10)
     assert check.passed
@@ -102,7 +97,7 @@ def test_verify_tight_bags_score():
 def test_verify_flags_starved_agent():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {a: {"g1": 1, "g2": 1} for a in range(2)})
-    greedy = mf.Allocation({0: frozenset({"g1", "g2"}), 1: frozenset()})
+    greedy = {0: frozenset({"g1", "g2"}), 1: frozenset()}
     check = mf.verify(inst, greedy, Fraction(3, 4))
     assert not check.passed
     assert check.per_agent[1][2] == 0
@@ -124,7 +119,7 @@ def test_verify_scores_against_given_shares():
 def test_verify_zero_share_agents_are_unconstrained():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
-    alloc = mf.Allocation({0: frozenset(), 1: frozenset({"g1", "g2"})})
+    alloc = {0: frozenset(), 1: frozenset({"g1", "g2"})}
     # agent 0 has zero share and an empty bundle; only agent 1 counts
     check = mf.verify(inst, alloc, Fraction(3, 4))
     assert check.score == 2 and check.per_agent[0][2] is None
@@ -136,7 +131,7 @@ def test_verify_zero_share_agents_are_unconstrained():
 def test_verify_uses_certificates_beyond_capacity():
     inst = mf.gen_tight_example(9)  # 26 goods
     cells = list(inst.certificates[0])
-    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents})
+    alloc = {a: cells[a] for a in inst.agents}
     check = mf.verify(inst, alloc, Fraction(3, 4))
     assert check.passed and check.score == 1
 
@@ -144,4 +139,4 @@ def test_verify_uses_certificates_beyond_capacity():
 def test_verify_requires_complete_allocation():
     inst = random_instance(2, 2, 4)
     with pytest.raises(mf.ValidationError, match="unallocated"):
-        mf.verify(inst, mf.Allocation({0: frozenset(), 1: frozenset()}), Fraction(1, 2))
+        mf.verify(inst, {0: frozenset(), 1: frozenset()}, Fraction(1, 2))

@@ -200,23 +200,23 @@ def test_mms_score_of_certificate_partition_is_one():
     # the MMS score (min bundle value / share) is computed by verify
     inst = mf.gen_tight_example(3)
     cells = list(inst.certificates[0])
-    alloc = mf.Allocation(bundles={a: cells[a] for a in inst.agents})
+    alloc = {a: cells[a] for a in inst.agents}
     assert mf.verify(inst, alloc, Fraction(3, 4)).score == 1
 
 
 def test_mms_score_tight_bags_plus_leftovers():
     inst = mf.gen_tight_example(3)
-    alloc = mf.Allocation(bundles={
+    alloc = {
         0: frozenset({"g1", "g6", "g7", "g8"}),
         1: frozenset({"g2", "g5"}),
         2: frozenset({"g3", "g4"}),
-    })
+    }
     assert mf.verify(inst, alloc, Fraction(3, 4)).score == Fraction(8, 10)
 
 
 def test_mms_score_requires_complete_allocation():
     inst = random_instance(7, 2, 4)
-    partial = mf.Allocation({0: frozenset(), 1: frozenset()})
+    partial = {0: frozenset(), 1: frozenset()}
     with pytest.raises(mf.ValidationError, match="unallocated"):
         mf.verify(inst, partial, Fraction(3, 4))
 

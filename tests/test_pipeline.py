@@ -52,7 +52,7 @@ def test_alpha_for_rejects_bad_values():
 def test_single_agent_takes_everything():
     inst = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
     report = mf.approx_mms(inst, mf.alpha_for(1))
-    assert report.allocation.bundles[0] == frozenset({"g1", "g2"})
+    assert report.allocation[0] == frozenset({"g1", "g2"})
     assert report.score >= 1
 
 
@@ -90,8 +90,8 @@ def test_zero_share_agents_are_peeled():
                              1: {"g1": 1, "g2": 2, "g3": 3}})
     report = mf.approx_mms(inst, mf.alpha_for(2))
     assert report.peeled == (0,)
-    assert report.allocation.bundles[0] == frozenset()
-    assert report.allocation.bundles[1] == frozenset({"g1", "g2", "g3"})
+    assert report.allocation[0] == frozenset()
+    assert report.allocation[1] == frozenset({"g1", "g2", "g3"})
     assert report.per_agent[0][2] is None
 
 
@@ -146,7 +146,7 @@ def test_positive_dummy_survives_to_bag_filling():
     for a in oni.agents:
         assert 0 < oni.valuations[a][dummy] < cap
     # the dummy steered the reduction but was never allocated
-    held = set().union(*report.allocation.bundles.values())
+    held = set().union(*report.allocation.values())
     assert dummy not in held
     assert report.score >= choice.alpha
 

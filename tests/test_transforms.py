@@ -70,19 +70,19 @@ def test_lift_ordered_two_agent_example():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 1, "g2": 3}, 1: {"g1": 2, "g2": 2}})
     ordered, mapping = mf.to_ordered(inst)
-    ordered_alloc = mf.Allocation({0: frozenset({ordered.goods[0]}),
-                                   1: frozenset({ordered.goods[1]})})
+    ordered_alloc = {0: frozenset({ordered.goods[0]}),
+                     1: frozenset({ordered.goods[1]})}
     lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
-    assert lifted.bundles[0] == frozenset({"g2"})
-    assert lifted.bundles[1] == frozenset({"g1"})
+    assert lifted[0] == frozenset({"g2"})
+    assert lifted[1] == frozenset({"g1"})
 
 
 def test_lift_ordered_single_agent_gets_everything():
     inst = random_instance(3, 1, 5)
     ordered, mapping = mf.to_ordered(inst)
-    ordered_alloc = mf.Allocation({0: frozenset(ordered.goods)})
+    ordered_alloc = {0: frozenset(ordered.goods)}
     lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
-    assert lifted.bundles[0] == frozenset(inst.goods)
+    assert lifted[0] == frozenset(inst.goods)
 
 
 def test_lift_ordered_identical_valuations_preserve_bundle_values():
@@ -92,8 +92,8 @@ def test_lift_ordered_identical_valuations_preserve_bundle_values():
     ordered_alloc = random_complete_allocation(rng, ordered)
     lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
     for a in inst.agents:
-        assert mf.bundle_value(inst, a, lifted.bundles[a]) == \
-            mf.bundle_value(ordered, a, ordered_alloc.bundles[a])
+        assert mf.bundle_value(inst, a, lifted[a]) == \
+            mf.bundle_value(ordered, a, ordered_alloc[a])
 
 
 def test_lift_ordered_dominates_ordered_values():
@@ -104,14 +104,14 @@ def test_lift_ordered_dominates_ordered_values():
         ordered_alloc = random_complete_allocation(rng, ordered)
         lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
         for a in inst.agents:
-            assert mf.bundle_value(inst, a, lifted.bundles[a]) >= \
-                mf.bundle_value(ordered, a, ordered_alloc.bundles[a])
+            assert mf.bundle_value(inst, a, lifted[a]) >= \
+                mf.bundle_value(ordered, a, ordered_alloc[a])
 
 
 def test_lift_ordered_rejects_incomplete_input():
     inst = random_instance(4, 2, 4)
     ordered, mapping = mf.to_ordered(inst)
-    partial = mf.Allocation({0: frozenset({ordered.goods[0]}), 1: frozenset()})
+    partial = {0: frozenset({ordered.goods[0]}), 1: frozenset()}
     with pytest.raises(mf.ContractError, match="does not cover the rank goods"):
         mf.lift_ordered(mapping, inst, partial)
 
@@ -162,8 +162,8 @@ def test_normalize_never_raises_value_to_share_ratio():
         for _ in range(5):
             alloc = random_complete_allocation(rng, inst)
             for a in inst.agents:
-                assert mf.bundle_value(inst, a, alloc.bundles[a]) >= \
-                    mf.bundle_value(norm, a, alloc.bundles[a]) * shares[a]
+                assert mf.bundle_value(inst, a, alloc[a]) >= \
+                    mf.bundle_value(norm, a, alloc[a]) * shares[a]
 
 
 def test_normalize_rejects_zero_share_agents():
@@ -346,10 +346,10 @@ def test_lift_reductions_reinstates_rule1_agent():
                              for a in range(2)})
     log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
     assert [r.rule for r in log.records] == ["R1"]
-    sub = mf.Allocation({1: frozenset(log.final.goods)})
+    sub = {1: frozenset(log.final.goods)}
     lifted = mf.lift_reductions(log, sub)
-    assert lifted.bundles[0] == frozenset({"g1"})
-    assert mf.bundle_value(inst, 0, lifted.bundles[0]) >= \
+    assert lifted[0] == frozenset({"g1"})
+    assert mf.bundle_value(inst, 0, lifted[0]) >= \
         ALPHA34 * log.records[0].pre_mms[0]
 
 
@@ -359,10 +359,10 @@ def test_lift_reductions_full_chain_single_survivor():
     log = mf.reduce(ordered, mf.alpha_limit(4), mf.instance_mms_all(ordered))
     if log.final.n == 1:
         survivor = log.final.agents[0]
-        sub = mf.Allocation({survivor: frozenset(log.final.goods)})
+        sub = {survivor: frozenset(log.final.goods)}
         lifted = mf.lift_reductions(log, sub)
-        assert set(lifted.bundles) == set(ordered.agents)
-        covered = [g for b in lifted.bundles.values() for g in b]
+        assert set(lifted) == set(ordered.agents)
+        covered = [g for b in lifted.values() for g in b]
         assert sorted(covered) == sorted(ordered.goods)
 
 
@@ -371,7 +371,7 @@ def test_lift_reductions_rejects_mismatched_agents():
                             {a: {"g1": 10, "g2": 1, "g3": 1, "g4": 1}
                              for a in range(2)})
     log = mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
-    bad = mf.Allocation({0: frozenset(log.final.goods)})
+    bad = {0: frozenset(log.final.goods)}
     with pytest.raises(mf.ContractError):
         mf.lift_reductions(log, bad)
 
