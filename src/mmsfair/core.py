@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractError, ValidationError
 
@@ -58,7 +59,9 @@ def parse_value(raw) -> Fraction:
         value = raw
     else:
         raise ValidationError(f"value must be an integer or 'p/q' string, got {type(raw).__name__}")
-    if value < 0:
+    # A Fraction is kept in lowest terms with a positive denominator, so
+    # its numerator carries its sign; testing it skips Fraction.__lt__.
+    if value.numerator < 0:
         raise ValidationError(f"value must be non-negative, got {value}")
     return value
 
@@ -66,6 +69,21 @@ def parse_value(raw) -> Fraction:
 def format_value(value: Fraction) -> str:
     """Render a rational as "p/q" in lowest terms (integers become "p/1")."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def scaled(values: Sequence) -> tuple:
+    """Ints and Fractions as integers over one denominator: (weights, denom).
+
+    ``denom`` is the lcm of the values' denominators and weights[i] / denom
+    equals values[i], so the weights order, sign-test and sum exactly as the
+    values do, but as ints.  Each value is read once, by as_integer_ratio.
+
+    >>> scaled([Fraction(1, 2), 3, Fraction(2, 3)])
+    ([3, 18, 4], 6)
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = lcm(*[q for _, q in ratios])
+    return [p * (denom // q) for p, q in ratios], denom
 
 
 @dataclass(frozen=True)
@@ -228,7 +246,7 @@ def validate_instance(instance: Instance) -> None:
         for g, v in row.items():
             if not isinstance(v, Fraction):
                 raise ValidationError(f"valuations[{a}][{g}]: not an exact rational")
-            if v < 0:
+            if v.numerator < 0:
                 raise ValidationError(f"valuations[{a}][{g}]: negative value {v}")
     if len(set(instance.valuations)) != len(instance.agents):
         raise ValidationError("valuations: rows for unknown agents present")

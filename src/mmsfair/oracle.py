@@ -43,10 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, ZERO, is_partition
+from .core import Instance, Value, ZERO, is_partition, scaled
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, ValidationError
 
@@ -119,19 +118,15 @@ def _checked_values(valuation: Mapping, goods: list) -> list:
             v = valuation[g]
         except KeyError:
             raise ValidationError(f"good {g!r} missing from valuation") from None
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        # Most values are Fractions: they skip the two isinstance calls.
+        if v.__class__ is not Fraction and (
+                isinstance(v, bool) or not isinstance(v, (int, Fraction))):
             raise ValidationError(
                 f"value for good {g!r} is not an int or a Fraction: {v!r}")
         if v.numerator < 0:
             raise ValidationError(f"negative value for good {g!r}")
         values.append(v)
     return values
-
-
-def _scaled(values: Sequence[int | Fraction]) -> tuple:
-    """Scale ints and Fractions to integers by the lcm of their denominators."""
-    denom = lcm(*[v.denominator for v in values])
-    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _lpt_cells(weights: Sequence[int], parts: int) -> list:
@@ -401,8 +396,8 @@ def mms(
     if certificate is not None:
         return _certified(valuation, parts, goods, certificate)
     _check_capacity(len(goods), parts, max_goods)
-    scaled, denom = _scaled(values)
-    raw, witness = _max_min_partition(scaled, parts, goods)
+    weights, denom = scaled(values)
+    raw, witness = _max_min_partition(weights, parts, goods)
     return MmsResult(Fraction(raw, denom), witness)
 
 
@@ -418,12 +413,12 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     if len(goods) > NAIVE_MAX_GOODS or parts > NAIVE_MAX_PARTS:
         raise CapacityError(
             f"mms_naive is limited to {NAIVE_MAX_GOODS} goods / {NAIVE_MAX_PARTS} parts")
-    scaled, denom = _scaled(_checked_values(valuation, goods))
+    weights, denom = scaled(_checked_values(valuation, goods))
     best = -1
     for assign in product(range(parts), repeat=len(goods)):
         sums = [0] * parts
         for i, cell in enumerate(assign):
-            sums[cell] += scaled[i]
+            sums[cell] += weights[i]
         low = min(sums)
         if low > best:
             best = low

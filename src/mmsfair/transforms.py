@@ -35,6 +35,7 @@ from .core import (
     format_value,
     fresh_id,
     is_partition,
+    scaled,
     validate_allocation,
 )
 from .errors import ContractError, InternalInvariantError
@@ -54,8 +55,8 @@ def is_ordered(instance: Instance) -> bool:
     """True if every agent's values are non-increasing along the good order."""
     for a in instance.agents:
         row = instance.valuations[a]
-        values = [row[g] for g in instance.goods]
-        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
+        weights, _ = scaled([row[g] for g in instance.goods])
+        if any(weights[i] < weights[i + 1] for i in range(len(weights) - 1)):
             return False
     return True
 
@@ -92,8 +93,12 @@ def to_ordered(instance: Instance) -> tuple:
     valuations = {}
     for a in instance.agents:
         row = instance.valuations[a]
-        # A reverse sort is stable: equal values keep their canonical order.
-        perm = sorted(instance.goods, key=row.__getitem__, reverse=True)
+        # Sort by the row's values as integers over their common denominator:
+        # they order as the values do.  A reverse sort is stable, so equal
+        # values keep their canonical order.
+        weights, _ = scaled([row[g] for g in instance.goods])
+        perm = [instance.goods[i] for i in
+                sorted(range(m), key=weights.__getitem__, reverse=True)]
         by_agent[a] = tuple(perm)
         new_row = {rank_goods[t]: row[perm[t]] for t in range(m)}
         for d in instance.dummies:

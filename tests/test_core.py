@@ -29,7 +29,7 @@ def test_value_render_parse_roundtrip():
 
 
 @pytest.mark.parametrize("bad", [-1, "-2/3", "abc", "1/0", True, 0.5, None,
-                                 "1e3", "1.5"])
+                                 "1e3", "1.5", Fraction(-1, 2)])
 def test_parse_value_rejects_garbage(bad):
     with pytest.raises(mf.ValidationError):
         mf.parse_value(bad)
@@ -85,10 +85,12 @@ def test_validate_instance_accepts_well_formed():
 
 
 def test_validate_instance_rejects_negative_value():
-    inst = mf.Instance(agents=(0,), goods=("g1",), dummies=(),
-                       valuations={0: {"g1": Fraction(-1)}})
-    with pytest.raises(mf.ValidationError, match="negative"):
-        mf.validate_instance(inst)
+    for value in (Fraction(-1), Fraction(-1, 3)):
+        inst = mf.Instance(agents=(0,), goods=("g1",), dummies=(),
+                           valuations={0: {"g1": value}})
+        with pytest.raises(mf.ValidationError,
+                           match=rf"valuations\[0\]\[g1\]: negative value {value}$"):
+            mf.validate_instance(inst)
 
 
 def test_validate_instance_rejects_ragged_row():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
-from mmsfair import oracle
+from mmsfair import core, oracle
 
 from helpers import freeze_golden, random_complete_allocation, random_instance
 
@@ -280,7 +280,7 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
                   for _ in range(rng.randint(7, 11))]
         parts = rng.randint(3, 4)
         vals = _vals(values)
-        weights, denom = oracle._scaled(values)
+        weights, denom = core.scaled(values)
         probes.clear()
         r = mf.mms(vals, parts, list(vals))
         value = r.value * denom
@@ -493,7 +493,7 @@ def _lpt_thresholds(kind, seed):
     """(desc, parts, every threshold from the LPT floor, which is below the
     climb's local-search floor, to the first one past total // parts)."""
     parts, values = golden_mms_case(kind, seed)
-    weights, _ = oracle._scaled(values)
+    weights, _ = core.scaled(values)
     desc = sorted((w for w in weights if w > 0), reverse=True)
     floor = min(map(sum, oracle._lpt_cells(desc, parts)))
     return desc, parts, range(floor, sum(desc) // parts + 2)
@@ -560,9 +560,11 @@ def test_covers_cell_size_bound_refutes_near_equal_weights(monkeypatch):
 # (valuation, good set, what the ValidationError says)
 MALFORMED_VALUES = [
     ({"a": Fraction(1), "b": Fraction(-1, 2)}, ["a", "b"], "negative value for good 'b'"),
+    ({"a": -1}, ["a"], "negative value for good 'a'"),
     ({"a": 0.5, "b": 1.5}, ["a", "b"], "good 'a' is not an int or a Fraction"),
     ({"a": 1, "b": "2"}, ["a", "b"], "good 'b' is not an int or a Fraction"),
     ({"a": True, "b": 1}, ["a", "b"], "good 'a' is not an int or a Fraction"),
+    ({"a": 1, "b": False}, ["a", "b"], "good 'b' is not an int or a Fraction"),
     ({"a": Fraction(1)}, ["a", "b"], "good 'b' missing from valuation"),
     ({"a": Fraction(1), "b": Fraction(2)}, ["a", "b", "a"], "duplicate ids"),
 ]
@@ -581,6 +583,19 @@ def test_mms_takes_ints_and_fractions_alike():
     for oracle_fn in (mf.mms, mf.mms_naive):
         assert oracle_fn(mixed, 2, list(mixed)) == oracle_fn(exact, 2, list(exact))
     assert mf.mms(mixed, 2, list(mixed)).value == 3
+
+
+def test_mms_of_a_mixed_row_matches_its_all_fraction_row():
+    # Ints read as n/1: mixing them with Fractions of other denominators
+    # changes neither the value nor the witness.
+    mixed = {"a": 7, "b": Fraction(5, 2), "c": 3, "d": Fraction(7, 3),
+             "e": Fraction(4, 6), "f": 0, "g": Fraction(11, 4)}
+    exact = {g: Fraction(v) for g, v in mixed.items()}
+    for parts in (2, 3, 4):
+        for oracle_fn in (mf.mms, mf.mms_naive):
+            got, want = oracle_fn(mixed, parts, list(mixed)), oracle_fn(exact, parts, list(exact))
+            assert got.value == want.value
+            assert got.partition == want.partition
 
 
 def test_raise_min_hand_cases():

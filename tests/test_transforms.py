@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 
@@ -62,6 +63,100 @@ def test_to_ordered_translates_certificates():
     assert ordered.certificates is not None
     values = mf.instance_mms_values(ordered)
     assert all(v == 1 for v in values.values())
+
+
+# Values that are hard to order exactly: ints, p/q with mixed denominators,
+# near-equal k/(k+1) (small k and k near 10**6), one value written several
+# ways, and zeros.
+_HARD_VALUE = st.one_of(
+    st.integers(0, 50),
+    st.builds("{}/{}".format, st.integers(0, 50), st.integers(1, 50)),
+    st.builds(lambda k: f"{k}/{k + 1}", st.integers(1, 12) | st.integers(10**6, 10**6 + 3)),
+    st.sampled_from(["1/2", "2/4", "3/6", "500000/1000000"]),
+    st.just(0),
+)
+
+
+@st.composite
+def _hard_instance(draw):
+    """1-4 agents, 0-9 goods and 0-2 dummies, valued by ``_HARD_VALUE``."""
+    n = draw(st.integers(1, 4))
+    goods = [f"g{j}" for j in range(1, draw(st.integers(0, 9)) + 1)]
+    dummies = [f"d{j}" for j in range(1, draw(st.integers(0, 2)) + 1)]
+    valuations = {a: {g: draw(_HARD_VALUE) for g in goods + dummies} for a in range(n)}
+    return mf.make_instance(n, goods, valuations, dummies=dummies)
+
+
+def _ordered_by_fractions(instance):
+    """is_ordered's definition, by Fraction comparisons."""
+    return all(row[g] >= row[h]
+               for row in instance.valuations.values()
+               for g, h in zip(instance.goods, instance.goods[1:]))
+
+
+@settings(max_examples=60)
+@given(_hard_instance())
+def test_to_ordered_sorts_as_fractions_do(inst):
+    ordered, mapping = mf.to_ordered(inst)
+    for a in inst.agents:
+        row = inst.valuations[a]
+        perm = tuple(sorted(inst.goods, key=row.__getitem__, reverse=True))
+        assert mapping.by_agent[a] == perm
+        assert [ordered.valuations[a][r] for r in ordered.goods] == [row[g] for g in perm]
+        assert all(ordered.valuations[a][d] == row[d] for d in inst.dummies)
+
+
+@settings(max_examples=60)
+@given(_hard_instance(), st.randoms(use_true_random=False))
+def test_is_ordered_agrees_with_fraction_comparisons(inst, rng):
+    ordered, _ = mf.to_ordered(inst)
+    assert mf.is_ordered(ordered) and _ordered_by_fractions(ordered)
+    goods = list(inst.goods)
+    rng.shuffle(goods)
+    shuffled = mf.make_instance(inst.n, goods, inst.valuations, dummies=inst.dummies)
+    for case in (inst, shuffled):
+        assert mf.is_ordered(case) == _ordered_by_fractions(case)
+
+
+@settings(max_examples=40)
+@given(_hard_instance(), st.randoms(use_true_random=False))
+def test_lift_ordered_never_lowers_a_bundle_value(inst, rng):
+    ordered, mapping = mf.to_ordered(inst)
+    ordered_alloc = random_complete_allocation(rng, ordered)
+    lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+    for a in inst.agents:
+        assert mf.bundle_value(inst, a, lifted[a]) >= \
+            mf.bundle_value(ordered, a, ordered_alloc[a])
+
+
+def test_ordering_and_validation_make_no_fraction_order_comparisons(monkeypatch):
+    # Sign checks and row ordering compare integers; a Fraction order
+    # comparison inside them would be counted here.  Counts, unlike
+    # timings, do not move with machine noise.
+    inst = mf.gen_random(mf.GeneratorSpec("uniform-rational", n=3, m=9,
+                                          value_bound=50, seed=4))
+    ordered, _ = mf.to_ordered(inst)
+    calls = []
+    for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+        def counting(a, b, _real=getattr(Fraction, name)):
+            calls.append(1)
+            return _real(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+
+    def comparisons(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert comparisons(lambda x, y: (x < y, x > y, x <= y, x >= y),
+                       Fraction(1, 2), Fraction(2, 3)) == 4
+    assert comparisons(mf.validate_instance, inst) == 0
+    assert comparisons(mf.to_ordered, inst) == 0
+    assert comparisons(mf.is_ordered, inst) == 0
+    assert comparisons(mf.is_ordered, ordered) == 0
+    assert comparisons(lambda i: mf.instance_from_json(mf.instance_to_json(i)), inst) == 0
+    for raw in (7, "22/7", Fraction(3, 5)):
+        assert comparisons(mf.parse_value, raw) == 0
 
 
 # --- ordered lift -----------------------------------------------------------
