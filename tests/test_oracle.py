@@ -578,24 +578,19 @@ def test_mms_rejects_malformed_values():
 
 
 def test_mms_takes_ints_and_fractions_alike():
-    mixed = {"a": 3, "b": Fraction(3, 2), "c": Fraction(3, 2)}
-    exact = {g: Fraction(v) for g, v in mixed.items()}
-    for oracle_fn in (mf.mms, mf.mms_naive):
-        assert oracle_fn(mixed, 2, list(mixed)) == oracle_fn(exact, 2, list(exact))
-    assert mf.mms(mixed, 2, list(mixed)).value == 3
-
-
-def test_mms_of_a_mixed_row_matches_its_all_fraction_row():
-    # Ints read as n/1: mixing them with Fractions of other denominators
-    # changes neither the value nor the witness.
-    mixed = {"a": 7, "b": Fraction(5, 2), "c": 3, "d": Fraction(7, 3),
-             "e": Fraction(4, 6), "f": 0, "g": Fraction(11, 4)}
-    exact = {g: Fraction(v) for g, v in mixed.items()}
-    for parts in (2, 3, 4):
-        for oracle_fn in (mf.mms, mf.mms_naive):
-            got, want = oracle_fn(mixed, parts, list(mixed)), oracle_fn(exact, parts, list(exact))
-            assert got.value == want.value
-            assert got.partition == want.partition
+    # An int reads as n/1: mixed with Fractions of other denominators, ints
+    # change neither the value nor the witness.
+    rows = [{"a": 3, "b": Fraction(3, 2), "c": Fraction(3, 2)},
+            {"a": 7, "b": Fraction(5, 2), "c": 3, "d": Fraction(7, 3),
+             "e": Fraction(4, 6), "f": 0, "g": Fraction(11, 4)}]
+    for mixed in rows:
+        exact = {g: Fraction(v) for g, v in mixed.items()}
+        for parts in (2, 3, 4):
+            for oracle_fn in (mf.mms, mf.mms_naive):
+                got = oracle_fn(mixed, parts, list(mixed))
+                want = oracle_fn(exact, parts, list(exact))
+                assert (got.value, got.partition) == (want.value, want.partition)
+    assert mf.mms(rows[0], 2, list(rows[0])).value == 3
 
 
 def test_raise_min_hand_cases():
