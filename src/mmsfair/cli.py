@@ -7,8 +7,9 @@ Commands:
   gen     -- emit a tight or random instance as JSON
   bench   -- solve a batch of seeded random instances on one thread
 
-Exit codes: 0 success, 2 invalid input, 3 exact-search capacity exceeded,
-4 internal invariant violation (diagnostics are dumped to stderr).
+Exit codes: 0 success, 2 invalid input, 3 exact search over the good limit
+or out of memory or stack, 4 internal invariant violation (diagnostics are
+dumped to stderr).
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # also bad UTF-8 and over-long integers
+        # ValueError also means bad UTF-8 or an over-long integer, and
+        # RecursionError arrays or objects nested past the stack.
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
 
 
@@ -232,9 +235,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        print("capacity error: the exact search ran out of memory; lower "
-              "--max-goods or supply certificates", file=sys.stderr)
+    except (MemoryError, RecursionError):
+        print("capacity error: the exact search ran out of memory or stack; "
+              "lower --max-goods or supply certificates", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

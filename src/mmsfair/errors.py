@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all mmsfair modules.
 
-The CLI maps these onto exit codes: validation problems exit 2, oracle
-capacity limits exit 3, and internal invariant violations exit 4.
+The CLI maps these onto exit codes: validation problems exit 2, the
+oracle's good limit exits 3, and internal invariant violations exit 4.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class ContractError(MmsfairError):
 
 
 class CapacityError(MmsfairError):
-    """An exact search would exceed the configured size limit.
+    """An exact search would cover more goods than its limit.
 
     Raised instead of silently approximating; the caller may retry with a
     larger explicit limit.

@@ -4,7 +4,7 @@ The maximin share of an agent over a good set S with k parts is the best
 min-cell value achievable by partitioning S into k bundles, under that
 agent's valuation.  Computing it is NP-hard, so this module provides an
 exhaustive search that is exact at desk scale, guarded by an explicit
-capacity limit that errors instead of approximating.
+limit on the good count alone that errors instead of approximating.
 
 Two independent routes are provided:
 
@@ -50,10 +50,6 @@ from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer w
 from .errors import CapacityError, ContractError, ValidationError
 
 DEFAULT_MAX_GOODS = 20
-MAX_PARTS = 8  # fixed; only a certificate lifts it
-
-NAIVE_MAX_GOODS = 10
-NAIVE_MAX_PARTS = 4
 
 
 class _Deferred:
@@ -344,15 +340,6 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     return lo, partial(_witness, goods, order, desc, parts, lo)
 
 
-def _check_capacity(count: int, parts: int, max_goods: int) -> None:
-    if count > max_goods or parts > MAX_PARTS:
-        raise CapacityError(
-            f"exact MMS search over {count} goods / {parts} parts exceeds the "
-            f"limit ({max_goods} goods, {MAX_PARTS} parts); raise the good limit "
-            f"explicitly, or supply a certificate: only a certificate lifts the "
-            f"fixed part limit")
-
-
 def _certified(valuation: Mapping, parts: int, goods: list, certificate) -> MmsResult:
     cells = [frozenset(cell) for cell in certificate]
     if len(cells) != parts:
@@ -381,10 +368,11 @@ def mms(
     bool); any other value, a missing good or a duplicate good id raises
     ValidationError, as does a negative ``max_goods``, certificate or
     not.  When fewer goods than parts have positive value the value is 0,
-    and a searched partition has every good in cell 0.  An equal-valued
-    ``certificate`` partition short-circuits the search (and the capacity
-    check on the good and part counts); an invalid certificate raises
-    ContractError rather than falling back.
+    and a searched partition has every good in cell 0.  A search over more
+    than ``max_goods`` goods raises CapacityError; the good count is the
+    only limit, whatever the part count.  An equal-valued ``certificate``
+    partition short-circuits the search (and that limit); an invalid
+    certificate raises ContractError rather than falling back.
     A searched result's partition is built on its first read.
     """
     if parts < 1:
@@ -395,7 +383,10 @@ def mms(
     values = _checked_values(valuation, goods)
     if certificate is not None:
         return _certified(valuation, parts, goods, certificate)
-    _check_capacity(len(goods), parts, max_goods)
+    if len(goods) > max_goods:
+        raise CapacityError(
+            f"exact MMS search over {len(goods)} goods exceeds the limit of "
+            f"{max_goods} goods; raise it explicitly, or supply a certificate")
     weights, denom = scaled(values)
     raw, witness = _max_min_partition(weights, parts, goods)
     return MmsResult(Fraction(raw, denom), witness)
@@ -410,9 +401,8 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     if parts < 1:
         raise ContractError(f"parts must be >= 1, got {parts}")
     goods = _canonical_goods(good_set)
-    if len(goods) > NAIVE_MAX_GOODS or parts > NAIVE_MAX_PARTS:
-        raise CapacityError(
-            f"mms_naive is limited to {NAIVE_MAX_GOODS} goods / {NAIVE_MAX_PARTS} parts")
+    if len(goods) > 10 or parts > 4:
+        raise CapacityError("mms_naive is limited to 10 goods / 4 parts")
     weights, denom = scaled(_checked_values(valuation, goods))
     best = -1
     for assign in product(range(parts), repeat=len(goods)):

@@ -64,14 +64,16 @@ def dummy_survives_to_bagfill_instance() -> mf.Instance:
     return mf.make_instance(3, goods, vals)
 
 
-def freeze_golden(path: Path, builders: dict) -> None:
+def freeze_golden(path: Path, builders: dict, check=None) -> None:
     """Add to the golden file at ``path`` the cases it lacks, after the
     frozen ones; ``builders`` maps each case name to a zero-argument
     callable that returns its document.
 
     A frozen case is never rewritten: if its recomputed document differs,
     or its name is gone from ``builders``, every such case is named, the
-    process exits non-zero and nothing is written.
+    process exits non-zero and nothing is written.  ``check``, if given,
+    is called with each added case's name and document before anything is
+    written; it exits non-zero to refuse them.
     """
     frozen = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     stale = [name for name in frozen
@@ -83,4 +85,6 @@ def freeze_golden(path: Path, builders: dict) -> None:
     for name, build in builders.items():
         if name not in docs:
             docs[name] = build()
+            if check is not None:
+                check(name, docs[name])
     path.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")

@@ -158,7 +158,8 @@ def test_unreadable_json_exits_2(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     huge = b'{"agents": 1, "goods": ["g1"], "valuations": {"0": {"g1": 1' \
         + b"0" * 5000 + b"}}}"
-    for raw in (b"\xff\xfe{}", huge):
+    deep = b"[" * 200_000 + b"]" * 200_000
+    for raw in (b"\xff\xfe{}", huge, deep):
         inst_file.write_bytes(raw)
         code, _, err = _run(capsys, "solve", "--input", str(inst_file))
         assert code == 2, (raw[:20], err)
@@ -235,6 +236,22 @@ def test_a_search_out_of_memory_exits_3_naming_max_goods(tmp_path, capsys, monke
     code, out, err = _run(capsys, "mms", "--input", str(inst_file))
     assert code == 3
     assert "--max-goods" in err and out == ""
+
+
+def test_a_search_out_of_stack_exits_3_naming_max_goods(tmp_path, capsys):
+    # 3,000 unit goods over 2 parts: the floor is already total // parts, so
+    # the climb makes no probe, but the witness completes one cell of 1,500
+    # goods a recursion level each.
+    goods = [f"g{j}" for j in range(1, 3001)]
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(
+        {"agents": 2, "goods": goods, "valuations": {a: {g: 1 for g in goods}
+                                                     for a in ("0", "1")}}))
+    for command in ("mms", "solve"):
+        code, out, err = _run(capsys, command, "--input", str(inst_file),
+                              "--max-goods", "5000")
+        assert code == 3, (command, err)
+        assert "--max-goods" in err and "stack" in err and out == "", (command, err)
 
 
 def test_explicit_alpha_above_bound_rejected(tmp_path, capsys):

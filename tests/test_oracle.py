@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,8 +138,10 @@ def test_capacity_errors():
     with pytest.raises(mf.CapacityError):
         mf.mms(vals, 2, list(vals))
     small = {f"g{i}": Fraction(1) for i in range(5)}
-    with pytest.raises(mf.CapacityError):
-        mf.mms(small, 9, list(small))
+    # the good count is the only limit: 9 parts are searched
+    r = mf.mms(small, 9, list(small))
+    assert r.value == 0
+    assert r.partition == (frozenset(small),) + (frozenset(),) * 8
     # explicit limits override the default
     r = mf.mms(vals, 2, list(vals), max_goods=25)
     assert r.value == 12
@@ -515,7 +519,7 @@ def _covers_inputs(draw):
     0 up to one past total // parts; half the draws are near-equal
     (base +- 10%)."""
     desc = draw(_desc_weights())
-    parts = draw(st.integers(2, 6))
+    parts = draw(st.integers(2, 12))
     return desc, parts, draw(st.integers(0, sum(desc) // parts + 1))
 
 
@@ -643,24 +647,28 @@ GOLDEN_MMS = Path(__file__).parent / "data" / "golden_mms.json"
 # 100, 101, 102, 103, 105 and 107 (near-equal, at most a few ms each) were
 # frozen before the value search moved to bin completion: without its
 # cell-size bound that search is tens to hundreds of times slower on them.
+# Seeds from WIDE_SEED up draw 9-12 parts over 19-20 goods: the first three
+# of every kind, frozen once the part limit was gone, each cross-checked by
+# the reference when it was frozen (``_cross_check``).
 GOLDEN_MMS_SEEDS = {
-    "int": (0, 1, 2, 3, 5, 102, 103, 104, 105, 107, 111),
-    "rational": (0, 6, 7, 8, 9, 100, 101, 103, 104, 105, 107),
+    "int": (0, 1, 2, 3, 5, 102, 103, 104, 105, 107, 111, 300, 301, 302),
+    "rational": (0, 6, 7, 8, 9, 100, 101, 103, 104, 105, 107, 300, 301, 302),
     "correlated": (20, 29, 30, 31, 34, 100, 101, 102, 103, 104, 105, 106, 107, 108,
-                   247, 249),
-    "pow2": (0, 1, 2, 3, 4),
-    "few-valued": (0, 1, 2, 3, 4),
-    "identical": (0, 1, 2, 3, 4),
+                   247, 249, 300, 301, 302),
+    "pow2": (0, 1, 2, 3, 4, 300, 301, 302),
+    "few-valued": (0, 1, 2, 3, 4, 300, 301, 302),
+    "identical": (0, 1, 2, 3, 4, 300, 301, 302),
 }
 BIG_SEED = 100
+WIDE_SEED = 300
 
 
 def golden_mms_case(kind: str, seed: int) -> tuple:
     """(parts, values) of one seeded case: 11-18 goods (19-20 from BIG_SEED
-    up), 5-8 parts."""
+    up), 5-8 parts (9-12 from WIDE_SEED up)."""
     rng = random.Random(f"{kind}-{seed}")
     m = rng.randint(19, 20) if seed >= BIG_SEED else rng.randint(11, 18)
-    parts = rng.randint(5, 8)
+    parts = rng.randint(9, 12) if seed >= WIDE_SEED else rng.randint(5, 8)
     if kind == "int":
         values = [rng.randint(0, 1000) for _ in range(m)]
     elif kind == "rational":
@@ -703,6 +711,45 @@ def test_mms_matches_golden_file():
         _check_witness(vals, expected["parts"], frozen)
 
 
+def _reference_agrees(parts: int, values: list, share) -> bool:
+    """Whether the reference packs the values' scaled positive weights into
+    ``parts`` cells at the share and not at one above it."""
+    weights, denom = core.scaled(values)
+    desc = sorted((w for w in weights if w > 0), reverse=True)
+    tau = share * denom
+    assert tau.denominator == 1
+    return (_reference(desc, parts, tau.numerator) is not None
+            and _reference(desc, parts, tau.numerator + 1) is None)
+
+
+def _cross_check(name: str, doc: dict) -> None:
+    """Refuse a golden case the reference disagrees with; print the time
+    the reference took."""
+    start = time.perf_counter()
+    agrees = _reference_agrees(doc["parts"], [mf.parse_value(v) for v in doc["values"]],
+                               mf.parse_value(doc["mms"]))
+    print(f"{name}: reference {time.perf_counter() - start:.2f} s")
+    if not agrees:
+        sys.exit(f"{name}: the reference disagrees with the share {doc['mms']}")
+
+
+# The wide cases whose reference run took under 0.5 s when they were
+# frozen; the correlated ones took 2-12 s and were checked only then.
+WIDE_REFERENCE_CASES = tuple(f"{kind}-{seed}" for kind, seeds in GOLDEN_MMS_SEEDS.items()
+                             if kind != "correlated" for seed in seeds if seed >= WIDE_SEED)
+
+
+def test_wide_golden_shares_match_reference():
+    # Past 8 parts nothing but the frozen file checks the oracle's values.
+    with open(GOLDEN_MMS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    for name in WIDE_REFERENCE_CASES:
+        doc = golden[name]
+        assert 9 <= doc["parts"] <= 12, name
+        values = [mf.parse_value(v) for v in doc["values"]]
+        assert _reference_agrees(doc["parts"], values, mf.parse_value(doc["mms"])), name
+
+
 def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
     # A partition read that fails part-way (a MemoryError from a large
     # memo, say) frees its memo as its frames unwind: nothing is left for
@@ -735,7 +782,9 @@ def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
 
 
 if __name__ == "__main__":
-    # Adds the cases the frozen file lacks; never rewrites a frozen one.
+    # Adds the cases the frozen file lacks, each only if the reference
+    # agrees with its share; never rewrites a frozen one.
     freeze_golden(GOLDEN_MMS, {
         f"{kind}-{seed}": lambda case=(kind, seed): golden_mms_doc(*golden_mms_case(*case))
-        for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds})
+        for kind, seeds in GOLDEN_MMS_SEEDS.items() for seed in seeds},
+        check=_cross_check)

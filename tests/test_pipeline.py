@@ -198,10 +198,12 @@ GOLDEN_SOLVES = Path(__file__).parent / "data" / "golden_solves.json"
 
 
 def golden_solve_instances() -> dict:
-    """The frozen solve inputs: one per path through approx_mms, and four at
-    the north-star size (n = 6, m = 18 and 20) that reduce and fill bags.
-    The bag-fill events of seed 4 at m = 18 and seed 2 at m = 20 change
-    with the witnesses ``normalize`` rescales by, so they pin them."""
+    """The frozen solve inputs: one per path through approx_mms, four at
+    the north-star size (n = 6, m = 18 and 20) that reduce and fill bags,
+    and three past 8 agents (n = 9, which fills bags, and n = 10 and 12,
+    which reduce to one agent).  The bag-fill events of seed 4 at m = 18
+    and seed 2 at m = 20 change with the witnesses ``normalize`` rescales
+    by, so they pin them."""
     from helpers import dummy_survives_to_bagfill_instance, rule4_dummy_instance
 
     rows = random_instance(5, 2, 8, bound=30).valuations
@@ -225,6 +227,9 @@ def golden_solve_instances() -> dict:
         "north-star-n6-m20": random_instance(1, 6, 20, bound=1000),
         "north-star-n6-m18-s4": random_instance(4, 6, 18, bound=1000),
         "north-star-n6-m20-s2": random_instance(2, 6, 20, bound=1000),
+        "wide-n9-m20": random_instance(1, 9, 20, bound=1000),
+        "wide-n10-m20": random_instance(1, 10, 20, bound=1000),
+        "wide-n12-m20": random_instance(1, 12, 20, bound=1000),
     }
 
 
