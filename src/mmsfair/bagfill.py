@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Value, ZERO, format_value, validate_allocation
+from .core import Instance, Value, format_value, validate_allocation
 from .errors import ContractError
 from .transforms import is_ordered
 
@@ -118,14 +118,9 @@ def complete_allocation(instance: Instance, bundles: dict) -> dict:
     taken = set().union(*bundles.values())
     agents = sorted(instance.agents)
     for g in instance.goods:
-        if g in taken:
-            continue
-        best, best_value = None, ZERO
-        for a in agents:
-            v = instance.value(a, g)
-            if best is None or v > best_value:
-                best, best_value = a, v
-        completed[best].add(g)
+        if g not in taken:
+            # max keeps the first of equal values: the lowest agent id.
+            completed[max(agents, key=lambda a: instance.value(a, g))].add(g)
     result = {a: frozenset(b) for a, b in completed.items()}
     validate_allocation(instance, result)
     return result

@@ -235,8 +235,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (MemoryError, RecursionError):
-        print("capacity error: the exact search ran out of memory or stack; "
+    except MemoryError:
+        print("capacity error: the exact search ran out of memory; "
               "lower --max-goods or supply certificates", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:

@@ -179,12 +179,19 @@ def make_instance(
     """Build an Instance with defensive copies and canonical shapes.
 
     ``n_or_agents`` is either an agent count (agents become 0..n-1) or an
-    iterable of stable agent ids.
+    iterable of stable agent ids.  A negative or bool count, or a
+    valuation row for an agent not listed, raises ValidationError.
     """
     if isinstance(n_or_agents, int):
+        if isinstance(n_or_agents, bool) or n_or_agents < 0:
+            raise ValidationError(
+                f"agents: must be a non-negative count, got {n_or_agents!r}")
         agents = tuple(range(n_or_agents))
     else:
         agents = tuple(n_or_agents)
+    extra = set(valuations) - set(agents)
+    if extra:
+        raise ValidationError(f"valuations: unknown agents {sorted(map(str, extra))}")
     goods = tuple(goods)
     dummies = tuple(dummies)
     vals = {}

@@ -20,10 +20,11 @@ class ContractError(MmsfairError):
 
 
 class CapacityError(MmsfairError):
-    """An exact search would cover more goods than its limit.
+    """An exact search would cover more goods than its limit, or recursed
+    past Python's stack.
 
     Raised instead of silently approximating; the caller may retry with a
-    larger explicit limit.
+    larger explicit limit, or, past the stack, supply a certificate.
     """
 
 

@@ -214,6 +214,7 @@ def _cover(desc, mask, k, tau, seen, starts) -> bool:
     """Whether the weights ``desc[i]`` with bit i set in ``mask``, which sum
     to at least k * tau, split into k cells each >= tau; on success each
     cell start's mask is appended to ``starts``, the last cell first.
+    The largest weight opens each cell, and ``_complete`` closes it.
 
     The memo key keeps k, so the shared memo's soundness does not rest on
     the unproven claim that a mask that failed with k cells never returns
@@ -246,14 +247,8 @@ def _cover(desc, mask, k, tau, seen, starts) -> bool:
         seen.add(key)
         return False
     slack = total - k * tau  # what the cells may overshoot tau by in all
-    w = ws[0]
-    if w >= tau:
-        found = w - tau <= slack and _cover(desc, mask & ~(1 << rest[0]), k - 1,
-                                            tau, seen, starts)
-    else:
-        found = _complete(desc, rest, ws, suffix, 1, tau - w, slack,
-                          mask & ~(1 << rest[0]), k, tau, seen, starts)
-    if found:
+    if _complete(desc, rest, ws, suffix, 1, tau - ws[0], slack,
+                 mask & ~(1 << rest[0]), k, tau, seen, starts):
         starts.append(mask)
         return True
     seen.add(key)
@@ -262,9 +257,13 @@ def _cover(desc, mask, k, tau, seen, starts) -> bool:
 
 def _complete(desc, rest, ws, suffix, j, deficit, slack, mask, k, tau, seen,
               starts) -> bool:
-    """Complete the open cell, short by ``deficit``, from ``ws[j:]`` (the
-    weights at indices ``rest[j:]``), then cover what is left in k - 1
-    cells; ``mask`` is what is left with the open cell's weights taken."""
+    """Complete the open cell, short by ``deficit`` (<= 0 when the opener
+    alone reaches tau), from ``ws[j:]`` (the weights at indices
+    ``rest[j:]``), then cover what is left in k - 1 cells; ``mask`` is
+    what is left with the open cell's weights taken.  A cell closes only
+    here, and only if its overshoot of tau fits in ``slack``."""
+    if deficit <= 0:
+        return -deficit <= slack and _cover(desc, mask, k - 1, tau, seen, starts)
     m = len(ws)
     p = j
     while p < m and ws[p] >= deficit:
@@ -291,6 +290,14 @@ def _complete(desc, rest, ws, suffix, j, deficit, slack, mask, k, tau, seen,
     return False
 
 
+def _out_of_stack(count: int) -> CapacityError:
+    # _complete recurses once per weight in a cell, so a cell of about a
+    # thousand goods passes Python's recursion limit.
+    return CapacityError(
+        f"exact MMS search over {count} goods ran out of stack; lower "
+        f"max_goods (--max-goods), or supply a certificate")
+
+
 def _witness(goods: list, order: list, desc: list, parts: int, value: int) -> tuple:
     """The witness of the share ``value``, as frozensets of goods.
 
@@ -300,9 +307,13 @@ def _witness(goods: list, order: list, desc: list, parts: int, value: int) -> tu
     only on the weights, ``parts``, the value and ``_covers``'s branch
     order, not on how the value was found; the zero weights join cell 0.
     At a value of 0 (fewer positive weights than parts) every good is in
-    cell 0.
+    cell 0.  A search that recurses past the stack raises CapacityError.
     """
-    cells = [[order[i] for i in cell] for cell in _covers(desc, parts, value, set())]
+    try:
+        split = _covers(desc, parts, value, set())
+    except RecursionError:
+        raise _out_of_stack(len(goods)) from None
+    cells = [[order[i] for i in cell] for cell in split]
     cells[0].extend(order[len(desc):])
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
@@ -369,10 +380,12 @@ def mms(
     ValidationError, as does a negative ``max_goods``, certificate or
     not.  When fewer goods than parts have positive value the value is 0,
     and a searched partition has every good in cell 0.  A search over more
-    than ``max_goods`` goods raises CapacityError; the good count is the
-    only limit, whatever the part count.  An equal-valued ``certificate``
-    partition short-circuits the search (and that limit); an invalid
-    certificate raises ContractError rather than falling back.
+    than ``max_goods`` goods raises CapacityError, as does a search or a
+    partition read that recurses past the stack (a cell of about a
+    thousand goods); the good count is the only limit, whatever the part
+    count.  An equal-valued ``certificate`` partition short-circuits the
+    search (and that limit); an invalid certificate raises ContractError
+    rather than falling back.
     A searched result's partition is built on its first read.
     """
     if parts < 1:
@@ -388,7 +401,10 @@ def mms(
             f"exact MMS search over {len(goods)} goods exceeds the limit of "
             f"{max_goods} goods; raise it explicitly, or supply a certificate")
     weights, denom = scaled(values)
-    raw, witness = _max_min_partition(weights, parts, goods)
+    try:
+        raw, witness = _max_min_partition(weights, parts, goods)
+    except RecursionError:
+        raise _out_of_stack(len(goods)) from None
     return MmsResult(Fraction(raw, denom), witness)
 
 

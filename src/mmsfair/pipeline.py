@@ -75,7 +75,7 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
     elif mode == "improved":
         alpha = bound
     else:
-        alpha = mode if isinstance(mode, Fraction) else parse_value(mode)
+        alpha = parse_value(mode)
         if not (0 < alpha <= bound):
             raise ContractError(
                 f"explicit alpha {alpha} is outside (0, {bound}] for n={n}; "

@@ -134,6 +134,8 @@ def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) 
     for a, bundle in ordered_alloc.items():
         for g in bundle:
             owner_of_rank[g] = a
+    if sum(map(len, ordered_alloc.values())) != len(owner_of_rank):
+        raise ContractError("ordered allocation holds a rank good more than once")
     if set(owner_of_rank) != set(mapping.rank_goods):
         raise ContractError("ordered allocation does not cover the rank goods")
 

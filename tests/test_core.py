@@ -142,6 +142,12 @@ def test_instance_json_rejects_missing_rows():
     with pytest.raises(mf.ValidationError):
         mf.instance_from_json({"agents": 2, "goods": ["g1"],
                                "valuations": {"0": {"g1": 1}}})
+    # make_instance checks the count and the rows as the JSON path does
+    for n in (-2, True):
+        with pytest.raises(mf.ValidationError, match="non-negative count"):
+            mf.make_instance(n, ["g1"], {0: {"g1": 1}})
+    with pytest.raises(mf.ValidationError, match=r"unknown agents \['7'\]"):
+        mf.make_instance(2, ["g1"], {a: {"g1": 1} for a in (0, 1, 7)})
 
 
 def test_allocation_json_roundtrip():

@@ -133,7 +133,7 @@ def test_scale_equivariance_and_witness_transfer():
         assert scaled_min == rs.value
 
 
-def test_capacity_errors():
+def test_capacity_errors(monkeypatch):
     vals = {f"g{i}": Fraction(1) for i in range(25)}
     with pytest.raises(mf.CapacityError):
         mf.mms(vals, 2, list(vals))
@@ -158,6 +158,22 @@ def test_capacity_errors():
                max_goods=-1)
     with pytest.raises(mf.ValidationError, match="max_goods"):
         mf.instance_mms_values(tight, max_goods=-1)
+    # A search past the stack is a capacity error too: the floor of 3,000
+    # unit goods is already total // 2, and the witness read completes a
+    # cell of 1,500 goods, one recursion level each.
+    many = {f"g{i}": 1 for i in range(3000)}
+    r = mf.mms(many, 2, list(many), max_goods=5000)
+    assert r.value == 1500
+    with pytest.raises(mf.CapacityError, match="stack.*max_goods"):
+        r.partition
+
+    def past_the_stack(*args):
+        raise RecursionError
+
+    # and so is a climb that recurses past it
+    monkeypatch.setattr(oracle, "_max_min_partition", past_the_stack)
+    with pytest.raises(mf.CapacityError, match="stack.*max_goods"):
+        mf.mms(small, 2, list(small))
 
 
 def test_certificate_pins_value_beyond_capacity():

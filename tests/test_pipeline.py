@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 
@@ -45,8 +46,9 @@ def test_alpha_for_rejects_bad_values():
         mf.alpha_for(4, "0/1")
     with pytest.raises(mf.ContractError):
         mf.alpha_for(0, "improved")
-    with pytest.raises(mf.ValidationError):
-        mf.alpha_for(4, "-1/2")
+    for negative in ("-1/2", Fraction(-1, 2)):
+        with pytest.raises(mf.ValidationError):
+            mf.alpha_for(4, negative)
 
 
 def test_single_agent_takes_everything():
@@ -115,6 +117,65 @@ def test_reduction_lift_bundles_meet_threshold_from_log():
         for step, record in zip(replayed, report.reduction_log.records):
             given = mf.bundle_value(step, record.agent, record.removed_goods)
             assert given >= choice.alpha * record.pre_mms[record.agent]
+
+
+# The six value distributions the two solve properties draw rows from;
+# "identical" gives every agent the first agent's row.
+_DISTRIBUTIONS = {
+    "int": st.integers(0, 100),
+    "rational": st.builds(Fraction, st.integers(0, 100), st.integers(1, 100)),
+    "near-equal": st.integers(1000, 1003),
+    "powers of two": st.builds(lambda e: 2 ** e, st.integers(0, 10)),
+    "few-valued": st.sampled_from([0, 1, 5]),
+    "identical": st.integers(0, 100),
+}
+
+
+@st.composite
+def _solve_case(draw):
+    """1-4 agents and 0-14 goods valued by one distribution.  Outside
+    "identical", a row may instead be all zero or repeat the row before it
+    (one draw in four each), so the peeled and all-peeled paths and shared
+    share searches run."""
+    kind = draw(st.sampled_from(sorted(_DISTRIBUTIONS)))
+    goods = [f"g{j}" for j in range(1, draw(st.integers(0, 14)) + 1)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = "repeat"
+        if kind != "identical":
+            shape = draw(st.sampled_from(["drawn", "drawn", "zero", "repeat"]))
+        if shape == "repeat" and rows:
+            rows.append(rows[-1])
+        elif shape == "zero":
+            rows.append(dict.fromkeys(goods, 0))
+        else:
+            rows.append({g: draw(_DISTRIBUTIONS[kind]) for g in goods})
+    return mf.make_instance(len(rows), goods, dict(enumerate(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_case())
+def test_every_reduction_is_valid(inst):
+    # each bundle a reduction gives away is worth alpha times its agent's
+    # share at that step, and no survivor's share drops; shares searched afresh
+    choice = mf.alpha_for(inst.n)
+    log = mf.approx_mms(inst, choice).reduction_log
+    replayed = mf.replay_log(log)
+    assert replayed[-1] == log.final
+    shares = [mf.instance_mms_values(step) for step in replayed]
+    for i, record in enumerate(log.records):
+        given_value = mf.bundle_value(replayed[i], record.agent, record.removed_goods)
+        assert given_value >= choice.alpha * shares[i][record.agent]
+        assert all(shares[i + 1][a] >= shares[i][a] for a in replayed[i + 1].agents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_case())
+def test_every_solve_scores_at_least_alpha(inst):
+    choice = mf.alpha_for(inst.n)
+    report = mf.approx_mms(inst, choice)
+    check = mf.verify(inst, report.allocation, choice.alpha)
+    assert check.passed and check.score == report.score >= choice.alpha
 
 
 def test_irreducible_instance_is_exposed_and_checks_out():

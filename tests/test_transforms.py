@@ -209,6 +209,10 @@ def test_lift_ordered_rejects_incomplete_input():
     partial = {0: frozenset({ordered.goods[0]}), 1: frozenset()}
     with pytest.raises(mf.ContractError, match="does not cover the rank goods"):
         mf.lift_ordered(mapping, inst, partial)
+    r1, r2, r3, r4 = ordered.goods
+    shared = {0: frozenset({r1, r2}), 1: frozenset({r2, r3, r4})}
+    with pytest.raises(mf.ContractError, match="more than once"):
+        mf.lift_ordered(mapping, inst, shared)
 
 
 # --- normalization ----------------------------------------------------------
