@@ -170,36 +170,34 @@ class Instance:
 
 
 def make_instance(
-    n_or_agents,
+    n: int,
     goods: Iterable,
     valuations: Mapping,
     dummies: Iterable = (),
     certificates: Optional[Mapping] = None,
 ) -> Instance:
-    """Build an Instance with defensive copies and canonical shapes.
+    """Build an Instance over agents 0..n-1 with defensive copies.
 
-    ``n_or_agents`` is either an agent count (agents become 0..n-1) or an
-    iterable of stable agent ids.  A negative or bool count, or a
-    valuation row for an agent not listed, raises ValidationError.
+    ``valuations`` maps each agent to a mapping of good id -> value (an
+    int, a "p/q" string or a Fraction).  A count that is not a
+    non-negative int, valuations or a row that is not a mapping, a
+    missing row and a value ``parse_value`` refuses raise ValidationError
+    naming the field.  Missing rows are found before anything is built,
+    so a huge count costs nothing.  ``validate_instance`` checks the rest.
     """
-    if isinstance(n_or_agents, int):
-        if isinstance(n_or_agents, bool) or n_or_agents < 0:
-            raise ValidationError(
-                f"agents: must be a non-negative count, got {n_or_agents!r}")
-        agents = tuple(range(n_or_agents))
-    else:
-        agents = tuple(n_or_agents)
-    extra = set(valuations) - set(agents)
-    if extra:
-        raise ValidationError(f"valuations: unknown agents {sorted(map(str, extra))}")
-    goods = tuple(goods)
-    dummies = tuple(dummies)
-    vals = {}
-    for a in agents:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValidationError(f"agents: must be a non-negative count, got {n!r}")
+    if not isinstance(valuations, Mapping):
+        raise ValidationError(f"valuations: must be a mapping, got {type(valuations).__name__}")
+    for a in range(n):
         if a not in valuations:
             raise ValidationError(f"valuations: missing row for agent {a}")
+    vals = {}
+    for a, row in valuations.items():
+        if not isinstance(row, Mapping):
+            raise ValidationError(f"valuations[{a}]: must be a mapping, got {type(row).__name__}")
         vals[a] = {}
-        for g, v in valuations[a].items():
+        for g, v in row.items():
             try:
                 vals[a][g] = parse_value(v)
             except ValidationError as exc:
@@ -210,7 +208,7 @@ def make_instance(
             a: tuple(frozenset(cell) for cell in cells)
             for a, cells in certificates.items()
         }
-    inst = Instance(agents=agents, goods=goods, dummies=dummies,
+    inst = Instance(agents=tuple(range(n)), goods=tuple(goods), dummies=tuple(dummies),
                     valuations=vals, certificates=certs)
     validate_instance(inst)
     return inst
@@ -226,9 +224,10 @@ def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
     Verified: unique good ids across goods and dummies, unique agent ids,
-    a complete valuation row per agent (no missing or extra goods),
-    non-negative values throughout, and that each certificate splits the
-    goods and dummies into n cells of equal value to its agent.
+    no row for an unknown agent, a complete valuation row per agent (no
+    missing or extra goods), non-negative values throughout, and that
+    each certificate splits the goods and dummies into n cells of equal
+    value to its agent.
     """
     seen = set()
     for g in instance.all_goods:
@@ -237,6 +236,9 @@ def validate_instance(instance: Instance) -> None:
         seen.add(g)
     if len(set(instance.agents)) != len(instance.agents):
         raise ValidationError("duplicate agent ids")
+    extra = set(instance.valuations) - set(instance.agents)
+    if extra:
+        raise ValidationError(f"valuations: unknown agents {sorted(map(str, extra))}")
     expected = set(instance.all_goods)
     for a in instance.agents:
         if a not in instance.valuations:
@@ -255,8 +257,6 @@ def validate_instance(instance: Instance) -> None:
                 raise ValidationError(f"valuations[{a}][{g}]: not an exact rational")
             if v.numerator < 0:
                 raise ValidationError(f"valuations[{a}][{g}]: negative value {v}")
-    if len(set(instance.valuations)) != len(instance.agents):
-        raise ValidationError("valuations: rows for unknown agents present")
     if instance.certificates is not None:
         for a, cells in instance.certificates.items():
             if a not in instance.valuations:
@@ -274,9 +274,12 @@ def validate_instance(instance: Instance) -> None:
 
 
 def validate_allocation(instance: Instance, allocation: dict) -> None:
-    """Check that the bundles are disjoint, use known real goods, and cover them all."""
-    if set(allocation) != set(instance.agents):
-        raise ValidationError("allocation: agent set does not match instance")
+    """Check that there is one bundle per agent, and that the bundles are
+    disjoint, use known real goods, and cover them all."""
+    differ = set(allocation) ^ set(instance.agents)
+    if differ:
+        raise ValidationError(
+            f"allocation: agents {sorted(map(str, differ))} are not the instance's agents")
     dummy_set = set(instance.dummies)
     good_set = set(instance.goods)
     taken = set()
@@ -401,12 +404,6 @@ def instance_from_json(doc: Mapping) -> Instance:
     goods = _id_list(goods, "instance JSON: 'goods'")
     dummies = _id_list(doc.get("dummies", []), "instance JSON: 'dummies'")
     rows = _by_agent(valuations, range(n), "instance JSON: 'valuations'")
-    for a in range(n):
-        if a not in rows:
-            raise ValidationError(f"instance JSON: missing valuations for agent {a}")
-        if not isinstance(rows[a], dict):
-            raise ValidationError(
-                f"instance JSON: valuations['{a}'] must be an object of good id -> value")
     certs = None
     if "certificates" in doc:
         certs = {}
@@ -428,11 +425,8 @@ def allocation_to_json(instance: Instance, allocation: dict) -> dict:
 
 def allocation_from_json(instance: Instance, doc: Mapping) -> dict:
     entries = _by_agent(doc, set(instance.agents), "allocation JSON")
-    bundles = {}
-    for a in instance.agents:
-        if a not in entries:
-            raise ValidationError(f"allocation JSON: missing bundle for agent {a}")
-        bundles[a] = frozenset(_id_list(entries[a], f"allocation JSON: bundle for agent {a}"))
+    bundles = {a: frozenset(_id_list(entry, f"allocation JSON: bundle for agent {a}"))
+               for a, entry in entries.items()}
     validate_allocation(instance, bundles)
     return bundles
 

@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import Instance, Value, ZERO, is_partition, scaled
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
-from .errors import CapacityError, ContractError, ValidationError
+from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
 DEFAULT_MAX_GOODS = 20
 
@@ -326,10 +326,11 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     asks ``_covers`` only for one above the best minimum cell seen so far;
     a split raises that floor to its own smallest cell.  Feasibility is
     monotone in the threshold, so the first failed probe, or a floor at
-    total // parts, proves the floor optimal.  Thresholds strictly rise,
-    so every probe of one search shares one failed-state memo and none is
-    probed twice; a floor that is already optimal costs at most one
-    failing probe.  With fewer positive weights than parts the floor is 0,
+    total // parts, proves the floor optimal.  Thresholds strictly rise
+    (a split short of its threshold, which would be re-probed forever,
+    raises InternalInvariantError), so every probe of one search shares
+    one failed-state memo and none is probed twice; a floor that is
+    already optimal costs at most one failing probe.  With fewer positive weights than parts the floor is 0,
     and a probe at 1 ends the climb at ``_covers``'s root check.
 
     ``witness`` is a zero-argument callable that returns the partition of
@@ -347,7 +348,13 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
         cells = _covers(desc, parts, lo + 1, seen)
         if cells is None:
             break
-        lo = min(sum(desc[i] for i in cell) for cell in cells)
+        low = min(sum(desc[i] for i in cell) for cell in cells)
+        if low <= lo:
+            short = min(cells, key=lambda cell: sum(desc[i] for i in cell))
+            raise InternalInvariantError(
+                f"_covers at threshold {lo + 1} into {parts} parts returned the "
+                f"cell {[desc[i] for i in short]}, which sums to only {low}")
+        lo = low
     return lo, partial(_witness, goods, order, desc, parts, lo)
 
 

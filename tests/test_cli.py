@@ -10,6 +10,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import mmsfair as mf
 from mmsfair import cli, oracle, pipeline, transforms
 from mmsfair.cli import main
@@ -110,7 +112,7 @@ MALFORMED = [
     ({"agents": 2, "goods": ["g1"], "valuations": {"0": {"g1": 1}}}, None,
      "agent 1"),
     (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"1": [1, 1]})), None,
-     "valuations['1']"),
+     "valuations[1]"),
     (dict(_OK_INSTANCE, certificates={"x": [["g1"], ["g2"]]}), None,
      "certificates"),
     (dict(_OK_INSTANCE, goods=["g1", ["g2"]]), None, "goods"),
@@ -181,7 +183,7 @@ def test_huge_agent_count_exits_2_naming_the_missing_row(tmp_path):
         [sys.executable, "-c", child, "mms", "--input", str(inst_file)],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2, proc.stderr
-    assert "missing valuations for agent 0" in proc.stderr
+    assert "missing row for agent 0" in proc.stderr
 
 
 def test_mms_rejects_an_unknown_agent_before_searching(tmp_path, capsys):
@@ -361,6 +363,26 @@ def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeyp
                         lambda instance, alpha, values: (instance, None))
     doc = _exit_4_dump(capsys, inst_file)
     assert doc == {"reductions": trace["reductions"], "bagfill": []}
+
+
+def test_short_split_stops_the_share_climb(tmp_path, capsys, monkeypatch):
+    # A split whose smallest cell does not beat the floor would make the
+    # climb re-probe one threshold forever; the oracle raises instead.  On
+    # [9, 1, 1] in 2 parts the floor is 2, so the first probe is at 3.
+    def short_split(desc, parts, tau, seen):
+        return [list(range(len(desc)))] + [[] for _ in range(parts - 1)]
+
+    monkeypatch.setattr(oracle, "_covers", short_split)
+    with pytest.raises(mf.InternalInvariantError, match=r"threshold 3 into 2 parts"):
+        mf.mms({"a": 9, "b": 1, "c": 1}, 2, ["a", "b", "c"])
+    inst_file = tmp_path / "inst.json"
+    row = {"a": 9, "b": 1, "c": 1}
+    inst_file.write_text(json.dumps({"agents": 2, "goods": list(row),
+                                     "valuations": {"0": row, "1": row}}))
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file))
+    assert code == 4 and out == ""
+    assert err == ("internal invariant violated: _covers at threshold 3 into 2 "
+                   "parts returned the cell [], which sums to only 0\n")
 
 
 def test_bench_rejects_unknown_suite(capsys):

@@ -1,5 +1,7 @@
 """Core model: exact values, instance validation, bundle sums, JSON I/O."""
 
+import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -150,12 +152,137 @@ def test_instance_json_rejects_missing_rows():
         mf.make_instance(2, ["g1"], {a: {"g1": 1} for a in (0, 1, 7)})
 
 
+def test_make_instance_rejects_what_it_cannot_build():
+    row = {"g1": 1}
+    with pytest.raises(mf.ValidationError, match=r"^agents: .* got 2\.0"):
+        mf.make_instance(2.0, ["g1"], {0: row, 1: row})
+    with pytest.raises(mf.ValidationError, match=r"^valuations\[1\]: must be a mapping, got list"):
+        mf.make_instance(2, ["g1"], {0: row, 1: [("g1", 1)]})
+    with pytest.raises(mf.ValidationError, match=r"^valuations: must be a mapping, got list"):
+        mf.make_instance(1, ["g1"], [row])
+    with pytest.raises(mf.ValidationError, match=r"^valuations: missing row for agent 1"):
+        mf.make_instance(10 ** 9, ["g1"], {0: row})
+    # validate_instance owns the unknown-row rule, for any Instance
+    inst = mf.make_instance(1, ["g1"], {0: row})
+    extra = dataclasses.replace(inst, valuations={0: inst.valuations[0], 7: inst.valuations[0]})
+    with pytest.raises(mf.ValidationError, match=r"unknown agents \['7'\]"):
+        mf.validate_instance(extra)
+
+
+# Junk that may stand in for any part of an instance document; a fresh
+# copy each draw, since later edits may write into it.
+_JUNK = st.sampled_from([None, True, -1, 2.0, 10 ** 9, "x", "1/0", "1.5", "2/3",
+                         [], ["g1"], [1], {}, {"g1": 1}, {"0": 1}]).map(copy.deepcopy)
+# Keys that may be added to a document's objects: known, unknown and malformed.
+_KEYS = st.sampled_from(["0", "1", "7", "01", "-1", "x", "g1", "g9", "d1",
+                         "agents", "certificates"])
+
+
+def _slots(node):
+    """(container, key) for every entry of every list and object in ``node``."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node)))
+    else:
+        return []
+    return [(node, k) for k in keys] + [s for k in keys for s in _slots(node[k])]
+
+
+@st.composite
+def _near_instance_doc(draw):
+    """A valid instance document, then 0-3 edits: an entry replaced by junk
+    or dropped, or a key added with junk under it."""
+    n = draw(st.integers(0, 3))
+    goods = [f"g{j}" for j in range(1, draw(st.integers(0, 4)) + 1)]
+    dummies = [f"d{j}" for j in range(1, draw(st.integers(0, 1)) + 1)]
+    value = st.one_of(st.integers(0, 100),
+                      st.builds("{}/{}".format, st.integers(0, 100), st.integers(1, 100)))
+    doc = {"agents": n, "goods": goods, "dummies": dummies,
+           "valuations": {str(a): {g: draw(value) for g in goods + dummies}
+                          for a in range(n)}}
+    if n and draw(st.booleans()):
+        # the goods dealt round robin: equal-valued only by chance, or at n = 1
+        doc["certificates"] = {str(a): [(goods + dummies)[i::n] for i in range(n)]
+                               for a in draw(st.sets(st.integers(0, n - 1)))}
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(_slots(doc)))
+        edit = draw(st.sampled_from(["junk", "drop", "add"]))
+        if edit == "junk":
+            container[key] = draw(_JUNK)
+        elif edit == "drop":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(_KEYS)] = draw(_JUNK)
+    return doc
+
+
+@st.composite
+def _make_instance_args(draw):
+    """make_instance arguments, valid or with one part malformed: the count,
+    the valuations, a row (missing, for an unknown agent or not a mapping)
+    or a value."""
+    fault = draw(st.sampled_from([None, None, "count", "valuations", "rows", "row", "value"]))
+    n = draw(st.integers(0, 3))
+    goods = ["g1", "g2"]
+    value = st.sampled_from([0, 1, 7, Fraction(1, 3), "2/3"])
+    valuations = {a: {g: draw(value) for g in goods} for a in range(n)}
+    if fault == "count":
+        n = draw(st.sampled_from([2.0, True, False, -1, None, "2"]))
+    elif fault == "valuations":
+        valuations = draw(st.sampled_from([None, [{"g1": 1, "g2": 1}], "rows"]))
+    elif fault == "rows":
+        a = draw(st.integers(0, n))
+        if a < n:
+            del valuations[a]
+        else:
+            valuations[a] = {"g1": 1, "g2": 1}
+    elif fault == "row" and n:
+        valuations[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([[("g1", 1)], None, 7, "g1"]))
+    elif fault == "value" and n:
+        valuations[draw(st.integers(0, n - 1))]["g2"] = draw(
+            st.sampled_from([-1, 1.5, None, True, "x", "1/0", [1]]))
+    return n, goods, valuations
+
+
+def _built_or_rejected(build):
+    try:
+        inst = build()
+    except mf.ValidationError:
+        return
+    mf.validate_instance(inst)
+    back = mf.instance_from_json(json.loads(json.dumps(mf.instance_to_json(inst))))
+    assert back == inst and back.certificates == inst.certificates
+
+
+@settings(max_examples=300)
+@given(_near_instance_doc())
+def test_instance_from_json_builds_a_valid_instance_or_rejects(doc):
+    _built_or_rejected(lambda: mf.instance_from_json(doc))
+
+
+@settings(max_examples=300)
+@given(_make_instance_args())
+def test_make_instance_builds_a_valid_instance_or_rejects(args):
+    _built_or_rejected(lambda: mf.make_instance(*args))
+
+
 def test_allocation_json_roundtrip():
     inst = random_instance(3, 2, 4)
     alloc = {0: frozenset({"g1", "g4"}), 1: frozenset({"g2", "g3"})}
     doc = mf.allocation_to_json(inst, alloc)
     assert doc == {"0": ["g1", "g4"], "1": ["g2", "g3"]}
     assert mf.allocation_from_json(inst, doc) == alloc
+
+
+def test_allocation_names_the_agents_it_lacks_or_does_not_know():
+    inst = random_instance(3, 3, 4)
+    with pytest.raises(mf.ValidationError, match=r"agents \['1', '2'\]"):
+        mf.allocation_from_json(inst, {"0": ["g1", "g2", "g3", "g4"]})
+    bundles = {a: frozenset() for a in (0, 1, 2, 5)}
+    with pytest.raises(mf.ValidationError, match=r"agents \['5'\]"):
+        mf.validate_allocation(inst, bundles)
 
 
 @st.composite

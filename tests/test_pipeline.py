@@ -169,13 +169,36 @@ def test_every_reduction_is_valid(inst):
         assert all(shares[i + 1][a] >= shares[i][a] for a in replayed[i + 1].agents)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_solve_case())
-def test_every_solve_scores_at_least_alpha(inst):
+def _solves_to_at_least_alpha(inst):
     choice = mf.alpha_for(inst.n)
     report = mf.approx_mms(inst, choice)
     check = mf.verify(inst, report.allocation, choice.alpha)
     assert check.passed and check.score == report.score >= choice.alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_case())
+def test_every_solve_scores_at_least_alpha(inst):
+    _solves_to_at_least_alpha(inst)
+
+
+@st.composite
+def _bag_fill_case(draw):
+    """2-4 agents and 2n-14 goods, every row drawn (no zero or repeated
+    rows) from a distribution whose solves often reach bag filling.  The
+    heavy-tailed ("rational", "powers of two") and few-valued rows
+    mostly reduce every agent away before it."""
+    kind = draw(st.sampled_from(["int", "near-equal"]))
+    n = draw(st.integers(2, 4))
+    goods = [f"g{j}" for j in range(1, draw(st.integers(2 * n, 14)) + 1)]
+    rows = {a: {g: draw(_DISTRIBUTIONS[kind]) for g in goods} for a in range(n)}
+    return mf.make_instance(n, goods, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bag_fill_case())
+def test_every_solve_of_many_goods_scores_at_least_alpha(inst):
+    _solves_to_at_least_alpha(inst)
 
 
 def test_irreducible_instance_is_exposed_and_checks_out():
