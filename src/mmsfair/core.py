@@ -169,6 +169,20 @@ class Instance:
             certificates=None if changed else self.certificates)
 
 
+def _ids(raw, field: str) -> tuple:
+    """A list, tuple or set of distinct string ids, as a tuple; anything
+    else raises ValidationError naming ``field``."""
+    if not (isinstance(raw, (list, tuple, set, frozenset))
+            and all(isinstance(g, str) for g in raw)):
+        raise ValidationError(f"{field} must be a list of string ids, got {raw!r}")
+    seen = set()
+    for g in raw:
+        if g in seen:
+            raise ValidationError(f"{field} repeats id {g!r}")
+        seen.add(g)
+    return tuple(raw)
+
+
 def make_instance(
     n: int,
     goods: Iterable,
@@ -178,15 +192,18 @@ def make_instance(
 ) -> Instance:
     """Build an Instance over agents 0..n-1 with defensive copies.
 
-    ``valuations`` maps each agent to a mapping of good id -> value (an
-    int, a "p/q" string or a Fraction).  A count that is not a
-    non-negative int, valuations or a row that is not a mapping, a
-    missing row and a value ``parse_value`` refuses raise ValidationError
-    naming the field.  Missing rows are found before anything is built,
-    so a huge count costs nothing.  ``validate_instance`` checks the rest.
+    ``goods``, ``dummies`` and each certificate cell are lists, tuples or
+    sets of distinct string ids; ``valuations`` maps each agent to a mapping
+    of good id -> value (an int, a "p/q" string or a Fraction), and
+    ``certificates`` each agent to a list or tuple of cells.  Anything else,
+    a missing row or a count that is not a non-negative int raises
+    ValidationError naming the field.  Missing rows are found before
+    anything is built, so a huge count costs nothing.  ``validate_instance``
+    checks the rest.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValidationError(f"agents: must be a non-negative count, got {n!r}")
+    goods, dummies = _ids(goods, "goods"), _ids(dummies, "dummies")
     if not isinstance(valuations, Mapping):
         raise ValidationError(f"valuations: must be a mapping, got {type(valuations).__name__}")
     for a in range(n):
@@ -204,11 +221,16 @@ def make_instance(
                 raise ValidationError(f"valuations[{a}][{g}]: {exc}") from None
     certs = None
     if certificates is not None:
-        certs = {
-            a: tuple(frozenset(cell) for cell in cells)
-            for a, cells in certificates.items()
-        }
-    inst = Instance(agents=tuple(range(n)), goods=tuple(goods), dummies=tuple(dummies),
+        if not isinstance(certificates, Mapping):
+            raise ValidationError(
+                f"certificates: must be a mapping, got {type(certificates).__name__}")
+        certs = {}
+        for a, cells in certificates.items():
+            if not isinstance(cells, (list, tuple)):
+                raise ValidationError(
+                    f"certificates[{a}]: must be a list of cells, got {type(cells).__name__}")
+            certs[a] = tuple(frozenset(_ids(cell, f"certificates[{a}]")) for cell in cells)
+    inst = Instance(agents=tuple(range(n)), goods=goods, dummies=dummies,
                     valuations=vals, certificates=certs)
     validate_instance(inst)
     return inst
@@ -220,17 +242,34 @@ def is_partition(cells: Iterable, goods: Iterable) -> bool:
     return len(covered) == len(set(covered)) and set(covered) == set(goods)
 
 
+def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable,
+                      field: str) -> Fraction:
+    """The maximin share that ``cells``, a partition of ``goods`` into ``parts``
+    cells equal-valued to ``row``, pins: their common value (the share is at
+    least the smallest cell and at most total / parts).  Any other cells
+    raise ValidationError naming ``field``."""
+    if len(cells) != parts:
+        raise ValidationError(f"{field}: {len(cells)} cells, expected {parts}")
+    if not is_partition(cells, goods):
+        raise ValidationError(f"{field}: cells do not partition the goods")
+    values = {sum((row[g] for g in cell), ZERO) for cell in cells}
+    if len(values) > 1:
+        raise ValidationError(f"{field}: cells are not equal-valued")
+    return values.pop()
+
+
 def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
-    Verified: unique good ids across goods and dummies, unique agent ids,
-    no row for an unknown agent, a complete valuation row per agent (no
-    missing or extra goods), non-negative values throughout, and that
-    each certificate splits the goods and dummies into n cells of equal
-    value to its agent.
+    Verified: string good ids, unique across goods and dummies, unique
+    agent ids, no row or certificate for an unknown agent, a complete
+    valuation row per agent (no missing or extra goods), non-negative
+    values throughout, and each certificate by ``certificate_value``.
     """
     seen = set()
     for g in instance.all_goods:
+        if not isinstance(g, str):
+            raise ValidationError(f"good id {g!r} is not a string")
         if g in seen:
             raise ValidationError(f"duplicate good id {g!r}")
         seen.add(g)
@@ -261,25 +300,19 @@ def validate_instance(instance: Instance) -> None:
         for a, cells in instance.certificates.items():
             if a not in instance.valuations:
                 raise ValidationError(f"certificates: unknown agent {a}")
-            if len(cells) != instance.n:
-                raise ValidationError(
-                    f"certificates[{a}]: {len(cells)} cells, expected {instance.n}")
-            if not is_partition(cells, expected):
-                raise ValidationError(
-                    f"certificates[{a}]: cells do not partition the goods")
-            row = instance.valuations[a]
-            if len({sum((row[g] for g in cell), ZERO) for cell in cells}) > 1:
-                raise ValidationError(
-                    f"certificates[{a}]: cells are not equal-valued")
+            certificate_value(instance.valuations[a], cells, instance.n, expected,
+                              f"certificates[{a}]")
 
 
 def validate_allocation(instance: Instance, allocation: dict) -> None:
     """Check that there is one bundle per agent, and that the bundles are
     disjoint, use known real goods, and cover them all."""
-    differ = set(allocation) ^ set(instance.agents)
-    if differ:
-        raise ValidationError(
-            f"allocation: agents {sorted(map(str, differ))} are not the instance's agents")
+    unknown = set(allocation).difference(instance.agents)
+    if unknown:
+        raise ValidationError(f"allocation: unknown agents {sorted(map(str, unknown))}")
+    missing = set(instance.agents).difference(allocation)
+    if missing:
+        raise ValidationError(f"allocation: no bundle for agents {sorted(map(str, missing))}")
     dummy_set = set(instance.dummies)
     good_set = set(instance.goods)
     taken = set()
@@ -347,40 +380,28 @@ def instance_to_json(instance: Instance) -> dict:
     return doc
 
 
-def _id_list(raw, field: str) -> list:
-    """A JSON list of distinct string ids; anything else raises ValidationError naming ``field``."""
-    if not isinstance(raw, list) or not all(isinstance(g, str) for g in raw):
-        raise ValidationError(f"{field} must be a list of string ids, got {raw!r}")
-    seen = set()
-    for g in raw:
-        if g in seen:
-            raise ValidationError(f"{field} repeats id {g!r}")
-        seen.add(g)
-    return raw
-
-
-def _agent_id(key, agents) -> Optional[int]:
-    """The agent in the container ``agents`` a JSON object key names, or None."""
+def _agent_id(key) -> Optional[int]:
+    """The agent id a JSON object key gives in canonical decimal, or None."""
     if not (isinstance(key, str) and _AGENT_KEY.fullmatch(key)):
         return None
     try:
-        a = int(key)
-    except ValueError:  # more digits than int() converts: no declared agent
+        return int(key)
+    except ValueError:  # more digits than int() converts: no agent's id
         return None
-    return a if a in agents else None
 
 
-def _by_agent(raw, agents, field: str) -> dict:
-    """A JSON object keyed by agent id, as {agent: entry}; other keys are rejected.
+def _by_agent(raw, field: str) -> dict:
+    """A JSON object keyed by agent id, as {agent: entry}.
 
-    Only the keys present are checked, each by membership in ``agents``,
-    so a huge declared agent count costs nothing.
+    A key that is not an agent id in canonical decimal raises
+    ValidationError naming ``field``.  Whether the ids are the instance's
+    agents is ``validate_instance``'s and ``validate_allocation``'s check.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"{field} must be an object keyed by agent id")
     entries, extra = {}, []
     for key, entry in raw.items():
-        a = _agent_id(key, agents)
+        a = _agent_id(key)
         if a is None:
             extra.append(key)
         else:
@@ -399,21 +420,11 @@ def instance_from_json(doc: Mapping) -> Instance:
         valuations = doc["valuations"]
     except KeyError as exc:
         raise ValidationError(f"instance JSON: missing field {exc}") from None
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValidationError(f"instance JSON: 'agents' must be a non-negative count, got {n!r}")
-    goods = _id_list(goods, "instance JSON: 'goods'")
-    dummies = _id_list(doc.get("dummies", []), "instance JSON: 'dummies'")
-    rows = _by_agent(valuations, range(n), "instance JSON: 'valuations'")
+    rows = _by_agent(valuations, "instance JSON: 'valuations'")
     certs = None
     if "certificates" in doc:
-        certs = {}
-        for a, cells in _by_agent(doc["certificates"], range(n),
-                                  "instance JSON: 'certificates'").items():
-            field = f"instance JSON: certificates['{a}']"
-            if not isinstance(cells, list):
-                raise ValidationError(f"{field} must be a list of cells")
-            certs[a] = [frozenset(_id_list(cell, field)) for cell in cells]
-    return make_instance(n, goods, rows, dummies=dummies, certificates=certs)
+        certs = _by_agent(doc["certificates"], "instance JSON: 'certificates'")
+    return make_instance(n, goods, rows, dummies=doc.get("dummies", []), certificates=certs)
 
 
 def allocation_to_json(instance: Instance, allocation: dict) -> dict:
@@ -424,8 +435,8 @@ def allocation_to_json(instance: Instance, allocation: dict) -> dict:
 
 
 def allocation_from_json(instance: Instance, doc: Mapping) -> dict:
-    entries = _by_agent(doc, set(instance.agents), "allocation JSON")
-    bundles = {a: frozenset(_id_list(entry, f"allocation JSON: bundle for agent {a}"))
+    entries = _by_agent(doc, "allocation JSON")
+    bundles = {a: frozenset(_ids(entry, f"allocation JSON: bundle for agent {a}"))
                for a, entry in entries.items()}
     validate_allocation(instance, bundles)
     return bundles

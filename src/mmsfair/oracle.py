@@ -45,7 +45,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, ZERO, is_partition, scaled
+from .core import Instance, Value, certificate_value, scaled
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
@@ -358,20 +358,6 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
     return lo, partial(_witness, goods, order, desc, parts, lo)
 
 
-def _certified(valuation: Mapping, parts: int, goods: list, certificate) -> MmsResult:
-    cells = [frozenset(cell) for cell in certificate]
-    if len(cells) != parts:
-        raise ContractError(
-            f"certificate has {len(cells)} cells, expected {parts}")
-    if not is_partition(cells, goods):
-        raise ContractError("certificate cells do not partition the good set")
-    cell_values = [sum((valuation[g] for g in cell), ZERO) for cell in cells]
-    if any(v != cell_values[0] for v in cell_values):
-        raise ContractError(
-            "certificate cells are not equal-valued; cannot pin the MMS value")
-    return MmsResult(value=cell_values[0], partition=tuple(cells))
-
-
 def mms(
     valuation: Mapping,
     parts: int,
@@ -391,8 +377,8 @@ def mms(
     partition read that recurses past the stack (a cell of about a
     thousand goods); the good count is the only limit, whatever the part
     count.  An equal-valued ``certificate`` partition short-circuits the
-    search (and that limit); an invalid certificate raises ContractError
-    rather than falling back.
+    search (and that limit); cells that are not such a partition raise
+    ValidationError (``core.certificate_value``) rather than falling back.
     A searched result's partition is built on its first read.
     """
     if parts < 1:
@@ -402,7 +388,8 @@ def mms(
     goods = _canonical_goods(good_set)
     values = _checked_values(valuation, goods)
     if certificate is not None:
-        return _certified(valuation, parts, goods, certificate)
+        cells = tuple(frozenset(cell) for cell in certificate)
+        return MmsResult(certificate_value(valuation, cells, parts, goods, "certificate"), cells)
     if len(goods) > max_goods:
         raise CapacityError(
             f"exact MMS search over {len(goods)} goods exceeds the limit of "

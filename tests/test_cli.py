@@ -133,7 +133,7 @@ MALFORMED = [
     (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"0": {"g1": 2, "g2": 1}}),
           certificates={"0": [["g1"], ["g2"]]}), None, "certificates[0]"),
     (dict(_OK_INSTANCE, certificates={"0": [["g1", "g1"], ["g2"]]}), None,
-     "certificates['0'] repeats id 'g1'"),
+     "certificates[0] repeats id 'g1'"),
     (_OK_INSTANCE, {"0": ["g1", "g1"], "1": ["g2"]},
      "bundle for agent 0 repeats id 'g1'"),
     (dict(_OK_INSTANCE, valuations=dict(_OK_ROWS, **{"1" + "0" * 5000: {}})), None,

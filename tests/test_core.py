@@ -114,6 +114,20 @@ def test_validate_instance_rejects_duplicate_good_ids():
         mf.validate_instance(inst)
 
 
+def test_validate_instance_rejects_good_ids_that_are_not_strings():
+    # The JSON schema names goods by string, so such an instance could be
+    # solved but not written to a file that reads back.
+    one = Fraction(1)
+    inst = mf.Instance(agents=(0, 1), goods=(1, 2), dummies=(),
+                       valuations={a: {1: one, 2: one} for a in (0, 1)})
+    with pytest.raises(mf.ValidationError, match="good id 1 is not a string"):
+        mf.validate_instance(inst)
+    inst = mf.Instance(agents=(0,), goods=("g1",), dummies=(("d",),),
+                       valuations={0: {"g1": one, ("d",): one}})
+    with pytest.raises(mf.ValidationError, match=r"good id \('d',\) is not a string"):
+        mf.validate_instance(inst)
+
+
 def test_instance_json_roundtrip_with_dummies():
     inst = mf.make_instance(
         2, ["g1", "g2"],
@@ -220,15 +234,23 @@ def _near_instance_doc(draw):
 @st.composite
 def _make_instance_args(draw):
     """make_instance arguments, valid or with one part malformed: the count,
-    the valuations, a row (missing, for an unknown agent or not a mapping)
-    or a value."""
-    fault = draw(st.sampled_from([None, None, "count", "valuations", "rows", "row", "value"]))
+    the goods or dummies, the valuations, a row (missing, for an unknown
+    agent or not a mapping), a value or the certificates."""
+    fault = draw(st.sampled_from([None, None, "count", "goods", "dummies", "valuations",
+                                  "rows", "row", "value", "certificates"]))
     n = draw(st.integers(0, 3))
-    goods = ["g1", "g2"]
+    goods, dummies = ["g1", "g2"], ["d1"]
     value = st.sampled_from([0, 1, 7, Fraction(1, 3), "2/3"])
-    valuations = {a: {g: draw(value) for g in goods} for a in range(n)}
+    valuations = {a: {g: draw(value) for g in goods + dummies} for a in range(n)}
+    # all goods in one cell: a valid certificate at n = 1 only
+    certificates = draw(st.sampled_from([None, {a: [goods + dummies] for a in range(n)}]))
+    bad_ids = st.sampled_from([None, 7, "g1", ["g1", 7], ["g1", "g1"]])
     if fault == "count":
         n = draw(st.sampled_from([2.0, True, False, -1, None, "2"]))
+    elif fault == "goods":
+        goods = draw(bad_ids)
+    elif fault == "dummies":
+        dummies = draw(bad_ids)
     elif fault == "valuations":
         valuations = draw(st.sampled_from([None, [{"g1": 1, "g2": 1}], "rows"]))
     elif fault == "rows":
@@ -236,14 +258,18 @@ def _make_instance_args(draw):
         if a < n:
             del valuations[a]
         else:
-            valuations[a] = {"g1": 1, "g2": 1}
+            valuations[a] = {"g1": 1, "g2": 1, "d1": 1}
     elif fault == "row" and n:
         valuations[draw(st.integers(0, n - 1))] = draw(
             st.sampled_from([[("g1", 1)], None, 7, "g1"]))
     elif fault == "value" and n:
         valuations[draw(st.integers(0, n - 1))]["g2"] = draw(
             st.sampled_from([-1, 1.5, None, True, "x", "1/0", [1]]))
-    return n, goods, valuations
+    elif fault == "certificates":
+        certificates = draw(st.sampled_from([
+            [["g1", "g2", "d1"]], {0: 5}, {0: [["g1", "g1"], ["g2", "d1"]]},
+            {0: "g1g2d1"}, {0: ["g1", "g2", "d1"]}]))
+    return n, goods, valuations, dummies, certificates
 
 
 def _built_or_rejected(build):

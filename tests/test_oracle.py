@@ -189,11 +189,11 @@ def test_certificate_pins_value_beyond_capacity():
 def test_certificate_validation_is_strict():
     vals = _vals([2, 2, 1, 1])
     goods = list(vals)
-    with pytest.raises(mf.ContractError):  # unequal cells
+    with pytest.raises(mf.ValidationError):  # unequal cells
         mf.mms(vals, 2, goods, certificate=[{"g1", "g2"}, {"g3", "g4"}])
-    with pytest.raises(mf.ContractError):  # not a partition
+    with pytest.raises(mf.ValidationError):  # not a partition
         mf.mms(vals, 2, goods, certificate=[{"g1", "g3"}, {"g2", "g3"}])
-    with pytest.raises(mf.ContractError):  # wrong cell count
+    with pytest.raises(mf.ValidationError):  # wrong cell count
         mf.mms(vals, 3, goods, certificate=[{"g1", "g3"}, {"g2", "g4"}])
     ok = mf.mms(vals, 2, goods, certificate=[{"g1", "g3"}, {"g2", "g4"}])
     assert ok.value == 3

@@ -57,6 +57,22 @@ def test_to_ordered_passes_dummies_through():
     assert ordered.valuations[1]["d1"] == 0
 
 
+def test_to_ordered_renames_rank_ids_that_dummies_take():
+    # "r1" takes base "r" and "rr2" takes base "rr", so the ranks become "rrr*"
+    goods = ["g1", "g2", "g3"]
+    inst = mf.make_instance(
+        2, goods, {0: {"g1": 1, "g2": 4, "g3": 2, "r1": 1, "rr2": 1},
+                   1: {"g1": 3, "g2": 1, "g3": 2, "r1": 0, "rr2": 2}},
+        dummies=["r1", "rr2"])
+    ordered, mapping = mf.to_ordered(inst)
+    assert ordered.goods == ("rrr1", "rrr2", "rrr3")
+    assert ordered.dummies == ("r1", "rr2")
+    assert sorted(mapping.by_agent[0]) == goods
+    choice = mf.alpha_for(inst.n)
+    report = mf.approx_mms(inst, choice)
+    assert mf.verify(inst, report.allocation, choice.alpha).passed
+
+
 def test_to_ordered_translates_certificates():
     inst = mf.gen_tight_example(4)
     ordered, _ = mf.to_ordered(inst)
