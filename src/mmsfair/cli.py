@@ -90,7 +90,7 @@ def _cmd_mms(args) -> int:
     if agent is None:
         results = instance_mms_all(instance, max_goods=args.max_goods)
     else:  # search this agent's share only
-        cert = (instance.certificates or {}).get(agent)
+        cert = instance.certificates.get(agent)
         results = {agent: mms(instance.valuations[agent], instance.n, instance.all_goods,
                               certificate=cert, max_goods=args.max_goods)}
     doc = {

@@ -98,10 +98,11 @@ class Instance:
                     maximin-share values but are never allocated.
         valuations: valuations[agent][good] for every agent and every good
                     in goods + dummies.
-        certificates: optional per-agent partition of goods + dummies into
-                    n equal-valued cells.  Such a partition pins that
-                    agent's maximin share to the common cell value exactly,
-                    letting large instances skip the exhaustive search.
+        certificates: per-agent partition of goods + dummies into n
+                    equal-valued cells, empty when no agent has one.  Such
+                    a partition pins that agent's maximin share to the common
+                    cell value exactly, letting large instances skip the
+                    exhaustive search.
 
     Treat all contained collections as read-only.
     """
@@ -110,7 +111,7 @@ class Instance:
     goods: tuple
     dummies: tuple
     valuations: dict
-    certificates: Optional[dict] = field(default=None, compare=False)
+    certificates: dict = field(default_factory=dict, compare=False)
 
     @property
     def n(self) -> int:
@@ -141,9 +142,6 @@ class Instance:
         except KeyError:
             raise ValidationError(f"unknown good id {good!r} for agent {agent}") from None
 
-    def total_value(self, agent) -> Fraction:
-        return sum(self.valuations[agent].values(), ZERO)
-
     def without(self, agents: Iterable = (), goods: Iterable = (),
                 dummy: Optional[tuple] = None) -> "Instance":
         """A smaller instance: drop ``agents`` and real ``goods``.
@@ -166,7 +164,7 @@ class Instance:
             goods=tuple(g for g in self.goods if g not in goods),
             dummies=self.dummies if dummy is None else self.dummies + (dummy[0],),
             valuations=valuations,
-            certificates=None if changed else self.certificates)
+            certificates={} if changed else self.certificates)
 
 
 def _ids(raw, field: str) -> tuple:
@@ -195,11 +193,11 @@ def make_instance(
     ``goods``, ``dummies`` and each certificate cell are lists, tuples or
     sets of distinct string ids; ``valuations`` maps each agent to a mapping
     of good id -> value (an int, a "p/q" string or a Fraction), and
-    ``certificates`` each agent to a list or tuple of cells.  Anything else,
-    a missing row or a count that is not a non-negative int raises
-    ValidationError naming the field.  Missing rows are found before
-    anything is built, so a huge count costs nothing.  ``validate_instance``
-    checks the rest.
+    ``certificates`` (None for none) each certified agent to a list or tuple
+    of cells.  Anything else, a missing row or a count that is not a
+    non-negative int raises ValidationError naming the field.  Missing rows
+    are found before anything is built, so a huge count costs nothing.
+    ``validate_instance`` checks the rest.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValidationError(f"agents: must be a non-negative count, got {n!r}")
@@ -219,17 +217,9 @@ def make_instance(
                 vals[a][g] = parse_value(v)
             except ValidationError as exc:
                 raise ValidationError(f"valuations[{a}][{g}]: {exc}") from None
-    certs = None
-    if certificates is not None:
-        if not isinstance(certificates, Mapping):
-            raise ValidationError(
-                f"certificates: must be a mapping, got {type(certificates).__name__}")
-        certs = {}
-        for a, cells in certificates.items():
-            if not isinstance(cells, (list, tuple)):
-                raise ValidationError(
-                    f"certificates[{a}]: must be a list of cells, got {type(cells).__name__}")
-            certs[a] = tuple(frozenset(_ids(cell, f"certificates[{a}]")) for cell in cells)
+    certs = {} if certificates is None else certificates
+    if isinstance(certs, Mapping):
+        certs = {a: certificate_cells(cells, f"certificates[{a}]") for a, cells in certs.items()}
     inst = Instance(agents=tuple(range(n)), goods=goods, dummies=dummies,
                     valuations=vals, certificates=certs)
     validate_instance(inst)
@@ -240,6 +230,14 @@ def is_partition(cells: Iterable, goods: Iterable) -> bool:
     """Whether ``cells`` are disjoint and together hold exactly ``goods``."""
     covered = [g for cell in cells for g in cell]
     return len(covered) == len(set(covered)) and set(covered) == set(goods)
+
+
+def certificate_cells(raw, field: str) -> tuple:
+    """A list or tuple of ``_ids`` cells, as a tuple of frozensets;
+    anything else raises ValidationError naming ``field``."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValidationError(f"{field}: must be a list of cells, got {type(raw).__name__}")
+    return tuple(frozenset(_ids(cell, field)) for cell in raw)
 
 
 def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable,
@@ -264,7 +262,7 @@ def validate_instance(instance: Instance) -> None:
     Verified: string good ids, unique across goods and dummies, unique
     agent ids, no row or certificate for an unknown agent, a complete
     valuation row per agent (no missing or extra goods), non-negative
-    values throughout, and each certificate by ``certificate_value``.
+    values throughout, and a certificates mapping checked by ``certificate_value``.
     """
     seen = set()
     for g in instance.all_goods:
@@ -296,12 +294,14 @@ def validate_instance(instance: Instance) -> None:
                 raise ValidationError(f"valuations[{a}][{g}]: not an exact rational")
             if v.numerator < 0:
                 raise ValidationError(f"valuations[{a}][{g}]: negative value {v}")
-    if instance.certificates is not None:
-        for a, cells in instance.certificates.items():
-            if a not in instance.valuations:
-                raise ValidationError(f"certificates: unknown agent {a}")
-            certificate_value(instance.valuations[a], cells, instance.n, expected,
-                              f"certificates[{a}]")
+    certs = instance.certificates
+    if not isinstance(certs, Mapping):
+        raise ValidationError(f"certificates: must be a mapping, got {type(certs).__name__}")
+    for a, cells in certs.items():
+        if a not in instance.valuations:
+            raise ValidationError(f"certificates: unknown agent {a}")
+        certificate_value(instance.valuations[a], cells, instance.n, expected,
+                          f"certificates[{a}]")
 
 
 def validate_allocation(instance: Instance, allocation: dict) -> None:
@@ -371,7 +371,7 @@ def instance_to_json(instance: Instance) -> dict:
             for a in instance.agents
         },
     }
-    if instance.certificates is not None:
+    if instance.certificates:
         doc["certificates"] = {
             str(a): [sorted(cell, key=instance.good_position.__getitem__)
                      for cell in cells]
@@ -421,9 +421,7 @@ def instance_from_json(doc: Mapping) -> Instance:
     except KeyError as exc:
         raise ValidationError(f"instance JSON: missing field {exc}") from None
     rows = _by_agent(valuations, "instance JSON: 'valuations'")
-    certs = None
-    if "certificates" in doc:
-        certs = _by_agent(doc["certificates"], "instance JSON: 'certificates'")
+    certs = _by_agent(doc.get("certificates", {}), "instance JSON: 'certificates'")
     return make_instance(n, goods, rows, dummies=doc.get("dummies", []), certificates=certs)
 
 

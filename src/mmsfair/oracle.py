@@ -45,7 +45,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, certificate_value, scaled
+from .core import Instance, Value, certificate_cells, certificate_value, scaled
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
@@ -376,9 +376,9 @@ def mms(
     than ``max_goods`` goods raises CapacityError, as does a search or a
     partition read that recurses past the stack (a cell of about a
     thousand goods); the good count is the only limit, whatever the part
-    count.  An equal-valued ``certificate`` partition short-circuits the
-    search (and that limit); cells that are not such a partition raise
-    ValidationError (``core.certificate_value``) rather than falling back.
+    count.  An equal-valued ``certificate`` partition, cells as
+    ``make_instance`` takes them, short-circuits the search (and that limit);
+    any other certificate raises ValidationError naming it rather than falling back.
     A searched result's partition is built on its first read.
     """
     if parts < 1:
@@ -388,7 +388,7 @@ def mms(
     goods = _canonical_goods(good_set)
     values = _checked_values(valuation, goods)
     if certificate is not None:
-        cells = tuple(frozenset(cell) for cell in certificate)
+        cells = certificate_cells(certificate, "certificate")
         return MmsResult(certificate_value(valuation, cells, parts, goods, "certificate"), cells)
     if len(goods) > max_goods:
         raise CapacityError(
@@ -445,9 +445,7 @@ def instance_mms_all(
     searched = []  # (row, result) for each row searched so far
     for a in instance.agents:
         row = instance.valuations[a]
-        cert = None
-        if instance.certificates is not None:
-            cert = instance.certificates.get(a)
+        cert = instance.certificates.get(a)
         if cert is not None:
             results[a] = mms(row, instance.n, instance.all_goods, certificate=cert,
                              max_goods=max_goods)

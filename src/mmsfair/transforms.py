@@ -105,13 +105,11 @@ def to_ordered(instance: Instance) -> tuple:
             new_row[d] = row[d]
         valuations[a] = new_row
 
-    certificates = None
-    if instance.certificates is not None:
-        certificates = {}
-        for a, cells in instance.certificates.items():
-            to_rank = {g: rank_goods[t] for t, g in enumerate(by_agent[a])}
-            certificates[a] = tuple(
-                frozenset(to_rank.get(g, g) for g in cell) for cell in cells)
+    certificates = {}
+    for a, cells in instance.certificates.items():
+        to_rank = {g: rank_goods[t] for t, g in enumerate(by_agent[a])}
+        certificates[a] = tuple(
+            frozenset(to_rank.get(g, g) for g in cell) for cell in cells)
 
     ordered = Instance(agents=instance.agents, goods=rank_goods,
                        dummies=instance.dummies, valuations=valuations,
@@ -373,12 +371,11 @@ def replay_log(log: ReductionLog) -> list:
 def lift_reductions(log: ReductionLog, sub_alloc: dict) -> dict:
     """Reinstate reduced agents, newest first, each with their given bundle.
 
-    ``sub_alloc`` must be an allocation of the log's final instance.
+    ``sub_alloc`` must be an allocation of the log's final instance; any
+    other raises ValidationError.
     Dummy goods are never allocated; the result is an allocation of the
     initial instance's real goods.
     """
-    if set(sub_alloc) != set(log.final.agents):
-        raise ContractError("sub-allocation agents do not match the log's final instance")
     validate_allocation(log.final, sub_alloc)
     lifted = dict(sub_alloc)
     for rec in reversed(log.records):

@@ -37,7 +37,7 @@ def test_criterion_1_tight_normalization():
             for cell in cells:
                 if mf.bundle_value(inst, a, cell) != 1:
                     violations.append((n, a, "cell sum", sorted(cell)))
-            if inst.total_value(a) != n:
+            if mf.bundle_value(inst, a, inst.all_goods) != n:
                 violations.append((n, a, "total"))
         if n <= 5:
             searched = mf.mms(inst.valuations[0], n, inst.goods)  # no certificate

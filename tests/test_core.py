@@ -181,6 +181,9 @@ def test_make_instance_rejects_what_it_cannot_build():
     extra = dataclasses.replace(inst, valuations={0: inst.valuations[0], 7: inst.valuations[0]})
     with pytest.raises(mf.ValidationError, match=r"unknown agents \['7'\]"):
         mf.validate_instance(extra)
+    # and the certificates rule: no certificates is an empty mapping, not None
+    with pytest.raises(mf.ValidationError, match="certificates: must be a mapping"):
+        mf.validate_instance(dataclasses.replace(inst, certificates=None))
 
 
 # Junk that may stand in for any part of an instance document; a fresh

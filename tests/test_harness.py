@@ -30,7 +30,7 @@ def test_tight_example_certificate_cells_sum_to_one():
         assert len(cells) == n
         for cell in cells:
             assert mf.bundle_value(inst, 0, cell) == 1
-        assert inst.total_value(0) == n
+        assert mf.bundle_value(inst, 0, inst.all_goods) == n
 
 
 def test_tight_example_rejects_small_n():

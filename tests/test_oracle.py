@@ -195,6 +195,10 @@ def test_certificate_validation_is_strict():
         mf.mms(vals, 2, goods, certificate=[{"g1", "g3"}, {"g2", "g3"}])
     with pytest.raises(mf.ValidationError):  # wrong cell count
         mf.mms(vals, 3, goods, certificate=[{"g1", "g3"}, {"g2", "g4"}])
+    # malformed cells: the shape rule make_instance applies
+    for bad in ([1], 5, "g1g2", [["g1"], 7], [["g1", "g1"], ["g2"]]):
+        with pytest.raises(mf.ValidationError, match="certificate"):
+            mf.mms(vals, 2, goods, certificate=bad)
     ok = mf.mms(vals, 2, goods, certificate=[{"g1", "g3"}, {"g2", "g4"}])
     assert ok.value == 3
 
