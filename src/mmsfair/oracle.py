@@ -14,9 +14,11 @@ Two independent routes are provided:
                    the value is found by climbing from a local-search
                    floor (the greedy LPT packing, improved by moving or
                    swapping items out of its emptiest cell).  Each probe
-                   asks ``_covers`` for one more than the best minimum
-                   cell witnessed so far, so thresholds strictly rise and
-                   only the probe that proves the optimum fails.
+                   asks ``_covers`` for one more than the floor, and each
+                   split it returns is polished by the same local search:
+                   its raised minimum cell is the next floor.  So
+                   thresholds strictly rise, and only the probe that
+                   proves the optimum fails.
                    ``_covers`` is a bin-completion search: it fills one
                    cell at a time, opened by the largest weight left and
                    completed by smaller ones, with a value bound, a
@@ -45,7 +47,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, certificate_cells, certificate_value, scaled
+from .core import Instance, Value, certificate_cells, certificate_value, scaled_ratios
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
@@ -103,12 +105,20 @@ def _canonical_goods(good_set: Iterable) -> list:
     return sorted(good_set, key=str)
 
 
-def _checked_values(valuation: Mapping, goods: list) -> list:
-    """The value of each good, which must be listed once, be in
-    ``valuation``, and be a non-negative int or Fraction (not a bool)."""
+def _check_parts(parts) -> None:
+    """Reject a part count that is not an int >= 1; a bool is not one."""
+    if isinstance(parts, bool) or not isinstance(parts, int) or parts < 1:
+        raise ContractError(f"parts must be an int >= 1, got {parts!r}")
+
+
+def _checked_ratios(valuation: Mapping, goods: list) -> list:
+    """The integer ratio (numerator, denominator) of each good's value, which
+    must be listed once, be in ``valuation``, and be a non-negative int or
+    Fraction (not a bool).  Each value is read once: its ratio gives the
+    sign."""
     if len(set(goods)) != len(goods):
         raise ValidationError("good set contains duplicate ids")
-    values = []
+    ratios = []
     for g in goods:
         try:
             v = valuation[g]
@@ -119,18 +129,21 @@ def _checked_values(valuation: Mapping, goods: list) -> list:
                 isinstance(v, bool) or not isinstance(v, (int, Fraction))):
             raise ValidationError(
                 f"value for good {g!r} is not an int or a Fraction: {v!r}")
-        if v.numerator < 0:
+        ratio = v.as_integer_ratio()
+        if ratio[0] < 0:
             raise ValidationError(f"negative value for good {g!r}")
-        values.append(v)
-    return values
+        ratios.append(ratio)
+    return ratios
 
 
-def _lpt_cells(weights: Sequence[int], parts: int) -> list:
-    """Greedy longest-processing-time packing: each weight, in the given
-    order, joins the emptiest cell (ties to the lower index)."""
-    cells = [[] for _ in range(parts)]
-    sums = [0] * parts
-    for w in weights:
+def _lpt_cells(desc: list, parts: int) -> list:
+    """Greedy longest-processing-time packing of positive non-increasing
+    weights: each of the ``parts`` largest opens a cell of its own, and each
+    weight after them joins the emptiest cell (ties to the lower index)."""
+    head = desc[:parts]
+    cells = [[w] for w in head] + [[] for _ in range(parts - len(head))]
+    sums = head + [0] * (parts - len(head))
+    for w in desc[parts:]:
         j = sums.index(min(sums))
         cells[j].append(w)
         sums[j] += w
@@ -298,21 +311,25 @@ def _out_of_stack(count: int) -> CapacityError:
         f"max_goods (--max-goods), or supply a certificate")
 
 
-def _witness(goods: list, order: list, desc: list, parts: int, value: int) -> tuple:
+def _witness(goods: list, weights: list, desc: list, parts: int, value: int) -> tuple:
     """The witness of the share ``value``, as frozensets of goods.
 
-    ``order`` is the goods' indices by non-increasing weight; its prefix
-    holds the positive weights ``desc`` and its tail the zero weights.  The
-    cells are ``_covers`` at the value with a fresh memo, so they depend
-    only on the weights, ``parts``, the value and ``_covers``'s branch
-    order, not on how the value was found; the zero weights join cell 0.
-    At a value of 0 (fewer positive weights than parts) every good is in
-    cell 0.  A search that recurses past the stack raises CapacityError.
+    ``weights`` holds each good's weight and ``desc`` the positive ones in
+    non-increasing order.  The cells are ``_covers`` at the value with a
+    fresh memo, so they depend only on the weights, ``parts``, the value
+    and ``_covers``'s branch order, not on how the value was found.  They
+    are mapped back to goods through ``order``, the goods' indices by
+    non-increasing weight, built here: its prefix matches ``desc`` and its
+    tail, the zero weights, joins cell 0.  At a value of 0 (fewer positive
+    weights than parts) every good is in cell 0.  A search that recurses
+    past the stack raises CapacityError.
     """
     try:
         split = _covers(desc, parts, value, set())
     except RecursionError:
         raise _out_of_stack(len(goods)) from None
+    # A reverse sort is stable: equal weights keep their index order.
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     cells = [[order[i] for i in cell] for cell in split]
     cells[0].extend(order[len(desc):])
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
@@ -323,39 +340,40 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple
 
     The value is found by a climb that builds no witness.  It starts at a
     local-search floor (the LPT packing improved by ``_raise_min``) and
-    asks ``_covers`` only for one above the best minimum cell seen so far;
-    a split raises that floor to its own smallest cell.  Feasibility is
+    asks ``_covers`` only for one above the floor.  ``_covers`` closes each
+    cell as soon as it reaches the threshold, so a split's smallest cell
+    sits just above it; ``_raise_min`` polishes the split, and the floor
+    rises to the polished minimum (at most total // parts).  Feasibility is
     monotone in the threshold, so the first failed probe, or a floor at
     total // parts, proves the floor optimal.  Thresholds strictly rise
     (a split short of its threshold, which would be re-probed forever,
-    raises InternalInvariantError), so every probe of one search shares
-    one failed-state memo and none is probed twice; a floor that is
-    already optimal costs at most one failing probe.  With fewer positive weights than parts the floor is 0,
-    and a probe at 1 ends the climb at ``_covers``'s root check.
+    raises InternalInvariantError before it is polished), so every probe
+    of one search shares one failed-state memo and none is probed twice;
+    a floor that is already optimal costs at most one failing probe.  With
+    fewer positive weights than parts the floor is 0, and a probe at 1
+    ends the climb at ``_covers``'s root check.
 
     ``witness`` is a zero-argument callable that returns the partition of
     ``goods`` (``_witness``: ``_covers`` at the value with a fresh memo).
     It holds the weights it needs, never the climb's memo, and runs only
     when called.
     """
-    # A reverse sort is stable: equal weights keep their index order.
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    desc = [weights[i] for i in order if weights[i] > 0]
+    desc = sorted([w for w in weights if w], reverse=True)
     hi = sum(desc) // parts
     lo = _raise_min(_lpt_cells(desc, parts), hi)
     seen = set()
     while lo < hi:
-        cells = _covers(desc, parts, lo + 1, seen)
-        if cells is None:
+        split = _covers(desc, parts, lo + 1, seen)
+        if split is None:
             break
-        low = min(sum(desc[i] for i in cell) for cell in cells)
+        cells = [[desc[i] for i in cell] for cell in split]
+        low = min(map(sum, cells))
         if low <= lo:
-            short = min(cells, key=lambda cell: sum(desc[i] for i in cell))
             raise InternalInvariantError(
                 f"_covers at threshold {lo + 1} into {parts} parts returned the "
-                f"cell {[desc[i] for i in short]}, which sums to only {low}")
-        lo = low
-    return lo, partial(_witness, goods, order, desc, parts, lo)
+                f"cell {min(cells, key=sum)}, which sums to only {low}")
+        lo = _raise_min(cells, hi)
+    return lo, partial(_witness, goods, weights, desc, parts, lo)
 
 
 def mms(
@@ -370,23 +388,24 @@ def mms(
 
     ``valuation`` maps good id -> a non-negative int or Fraction (not a
     bool); any other value, a missing good or a duplicate good id raises
-    ValidationError, as does a negative ``max_goods``, certificate or
-    not.  When fewer goods than parts have positive value the value is 0,
-    and a searched partition has every good in cell 0.  A search over more
-    than ``max_goods`` goods raises CapacityError, as does a search or a
-    partition read that recurses past the stack (a cell of about a
-    thousand goods); the good count is the only limit, whatever the part
-    count.  An equal-valued ``certificate`` partition, cells as
-    ``make_instance`` takes them, short-circuits the search (and that limit);
-    any other certificate raises ValidationError naming it rather than falling back.
-    A searched result's partition is built on its first read.
+    ValidationError, as does a ``max_goods`` that is not a non-negative
+    int, certificate or not; a ``parts`` that is not a positive int (a
+    bool is not one) raises ContractError.  When fewer goods than parts
+    have positive value the value is 0, and a searched partition has
+    every good in cell 0.  A search over more than ``max_goods`` goods
+    raises CapacityError, as does a search or a partition read that
+    recurses past the stack (a cell of about a thousand goods); the good
+    count is the only limit, whatever the part count.  An equal-valued
+    ``certificate`` partition, cells as ``make_instance`` takes them,
+    short-circuits the search (and that limit); any other certificate
+    raises ValidationError naming it rather than falling back.  A searched
+    result's partition is built on its first read.
     """
-    if parts < 1:
-        raise ContractError(f"parts must be >= 1, got {parts}")
-    if max_goods < 0:
-        raise ValidationError(f"max_goods must be at least 0, got {max_goods}")
+    _check_parts(parts)
+    if isinstance(max_goods, bool) or not isinstance(max_goods, int) or max_goods < 0:
+        raise ValidationError(f"max_goods must be an int of at least 0, got {max_goods!r}")
     goods = _canonical_goods(good_set)
-    values = _checked_values(valuation, goods)
+    ratios = _checked_ratios(valuation, goods)
     if certificate is not None:
         cells = certificate_cells(certificate, "certificate")
         return MmsResult(certificate_value(valuation, cells, parts, goods, "certificate"), cells)
@@ -394,12 +413,12 @@ def mms(
         raise CapacityError(
             f"exact MMS search over {len(goods)} goods exceeds the limit of "
             f"{max_goods} goods; raise it explicitly, or supply a certificate")
-    weights, denom = scaled(values)
+    weights, denom = scaled_ratios(ratios)
     try:
         raw, witness = _max_min_partition(weights, parts, goods)
     except RecursionError:
         raise _out_of_stack(len(goods)) from None
-    return MmsResult(Fraction(raw, denom), witness)
+    return MmsResult(Fraction(raw) if denom == 1 else Fraction(raw, denom), witness)
 
 
 def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
@@ -408,12 +427,11 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     No memoization, no pruning; limited to 10 goods and 4 parts.  Exists
     solely to cross-check ``mms``, and checks its values as ``mms`` does.
     """
-    if parts < 1:
-        raise ContractError(f"parts must be >= 1, got {parts}")
+    _check_parts(parts)
     goods = _canonical_goods(good_set)
     if len(goods) > 10 or parts > 4:
         raise CapacityError("mms_naive is limited to 10 goods / 4 parts")
-    weights, denom = scaled(_checked_values(valuation, goods))
+    weights, denom = scaled_ratios(_checked_ratios(valuation, goods))
     best = -1
     for assign in product(range(parts), repeat=len(goods)):
         sums = [0] * parts

@@ -133,6 +133,19 @@ def test_scale_equivariance_and_witness_transfer():
         assert scaled_min == rs.value
 
 
+def test_mms_rejects_parts_and_max_goods_that_are_not_ints():
+    # A bool is not a count: True parts once searched as 1 part, and
+    # max_goods=True once read as a limit of 1 good.
+    vals = {"a": 1, "b": 2}
+    for parts in (2.0, "2", None, True, 0):
+        for oracle_fn in (mf.mms, mf.mms_naive):
+            with pytest.raises(mf.ContractError, match="parts"):
+                oracle_fn(vals, parts, ["a", "b"])
+    for max_goods in (None, True, 20.5, "20", -1):
+        with pytest.raises(mf.ValidationError, match="max_goods"):
+            mf.mms(vals, 2, ["a", "b"], max_goods=max_goods)
+
+
 def test_capacity_errors(monkeypatch):
     vals = {f"g{i}": Fraction(1) for i in range(25)}
     with pytest.raises(mf.CapacityError):
@@ -291,12 +304,26 @@ def _goods_cells(goods, cells):
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
 
+def test_max_min_partition_polishes_each_split(monkeypatch):
+    # The floor of these weights over 3 parts is 31.  The probe at 32 splits
+    # them 33 | 32 | 34, the smallest cell just above the threshold, and
+    # local search raises that split's minimum to 33 = total // parts, which
+    # ends the climb without a probe at 33.
+    probes = _recording(monkeypatch)
+    desc = [27, 18, 15, 14, 10, 9, 4, 2]
+    assert oracle._raise_min(oracle._lpt_cells(desc, 3), 33) == 31
+    vals = _vals(desc)
+    assert mf.mms(vals, 3, list(vals)).value == 33
+    assert [tau for tau, _, _ in probes] == [32]
+    assert sorted(sum(desc[i] for i in cell) for cell in probes[0][1]) == [32, 33, 34]
+
+
 def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # lcm-scaled rationals make an answer range about 1e10 wide.  The value
     # climb probes _covers only one above the best minimum cell seen so far,
-    # so only the probe just above the optimum fails, and no witness is
-    # built until the partition is read: then one _covers at the optimum,
-    # with a memo of its own.
+    # each split polished by local search, so only the probe just above the
+    # optimum fails, and no witness is built until the partition is read:
+    # then one _covers at the optimum, with a memo of its own.
     probes = _recording(monkeypatch)
     rng = random.Random(53)
     for _ in range(20):
@@ -312,7 +339,8 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         value = value.numerator
 
         # Each probe is one above the floor or the last split's smallest
-        # cell, so thresholds strictly rise, and all of them share one memo.
+        # cell after local search, so thresholds strictly rise, and all of
+        # them share one memo.
         desc = sorted(weights, reverse=True)
         hi = sum(desc) // parts
         lo = oracle._raise_min(oracle._lpt_cells(desc, parts), hi)
@@ -321,7 +349,7 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
             assert seen is not None and seen is probes[0][2]
             if cells is None:
                 break
-            lo = min(sum(desc[i] for i in cell) for cell in cells)
+            lo = oracle._raise_min([[desc[i] for i in cell] for cell in cells], hi)
         assert lo == value, (value, probes)
         # The climb ends at its first failure, at value + 1, or at
         # total // parts with none.
