@@ -86,14 +86,12 @@ def scaled(values: Sequence) -> tuple:
 
 def scaled_ratios(ratios: Sequence) -> tuple:
     """``scaled`` for values already read as (numerator, denominator)
-    pairs.  When every denominator is 1 the numerators are the weights.
+    pairs.
 
     >>> scaled_ratios([(1, 2), (3, 1), (2, 3)])
     ([3, 18, 4], 6)
     """
     denom = lcm(*[q for _, q in ratios])
-    if denom == 1:
-        return [p for p, _ in ratios], 1
     return [p * (denom // q) for p, q in ratios], denom
 
 

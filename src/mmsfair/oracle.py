@@ -418,7 +418,7 @@ def mms(
         raw, witness = _max_min_partition(weights, parts, goods)
     except RecursionError:
         raise _out_of_stack(len(goods)) from None
-    return MmsResult(Fraction(raw) if denom == 1 else Fraction(raw, denom), witness)
+    return MmsResult(Fraction(raw, denom), witness)
 
 
 def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
