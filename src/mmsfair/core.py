@@ -235,12 +235,6 @@ def make_instance(
     return inst
 
 
-def is_partition(cells: Iterable, goods: Iterable) -> bool:
-    """Whether ``cells`` are disjoint and together hold exactly ``goods``."""
-    covered = [g for cell in cells for g in cell]
-    return len(covered) == len(set(covered)) and set(covered) == set(goods)
-
-
 def certificate_cells(raw, field: str) -> tuple:
     """A list or tuple of ``_ids`` cells, as a tuple of frozensets;
     anything else raises ValidationError naming ``field``."""
@@ -249,17 +243,35 @@ def certificate_cells(raw, field: str) -> tuple:
     return tuple(frozenset(_ids(cell, field)) for cell in raw)
 
 
+def partition_values(row: Mapping, cells: Sequence, parts: int, goods: Iterable,
+                     field: str) -> list:
+    """Each cell's value to ``row``, for ``parts`` cells that partition
+    ``goods``; any other cells raise ValidationError naming ``field``.
+
+    >>> row = {"g1": Fraction(1), "g2": Fraction(2), "g3": Fraction(3)}
+    >>> partition_values(row, [{"g1", "g2"}, {"g3"}], 2, row, "cells")
+    [Fraction(3, 1), Fraction(3, 1)]
+    >>> partition_values(row, [{"g1"}, {"g3"}], 2, row, "cells")
+    Traceback (most recent call last):
+    ...
+    mmsfair.errors.ValidationError: cells: cells do not partition the goods
+    """
+    if len(cells) != parts:
+        raise ValidationError(f"{field}: {len(cells)} cells, expected {parts}")
+    covered = [g for cell in cells for g in cell]
+    if len(covered) != len(set(covered)) or set(covered) != set(goods):
+        raise ValidationError(f"{field}: cells do not partition the goods")
+    return [sum((row[g] for g in cell), ZERO) for cell in cells]
+
+
 def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable,
                       field: str) -> Fraction:
     """The maximin share that ``cells``, a partition of ``goods`` into ``parts``
     cells equal-valued to ``row``, pins: their common value (the share is at
-    least the smallest cell and at most total / parts).  Any other cells
-    raise ValidationError naming ``field``."""
-    if len(cells) != parts:
-        raise ValidationError(f"{field}: {len(cells)} cells, expected {parts}")
-    if not is_partition(cells, goods):
-        raise ValidationError(f"{field}: cells do not partition the goods")
-    values = {sum((row[g] for g in cell), ZERO) for cell in cells}
+    least the smallest cell and at most total / parts).  Cells that
+    ``partition_values`` rejects, or of unequal value, raise ValidationError
+    naming ``field``."""
+    values = set(partition_values(row, cells, parts, goods, field))
     if len(values) > 1:
         raise ValidationError(f"{field}: cells are not equal-valued")
     return values.pop()
@@ -311,6 +323,15 @@ def validate_instance(instance: Instance) -> None:
             raise ValidationError(f"certificates: unknown agent {a}")
         certificate_value(instance.valuations[a], cells, instance.n, expected,
                           f"certificates[{a}]")
+
+
+def check_shares(instance: Instance, shares: Mapping, field: str) -> None:
+    """Check that a share table is keyed by exactly the instance's agents;
+    any other raises ContractError naming ``field``."""
+    if set(shares) != set(instance.agents):
+        raise ContractError(
+            f"{field}: shares are given for agents {sorted(map(str, shares))}, "
+            f"but the instance has agents {list(instance.agents)}")
 
 
 def validate_allocation(instance: Instance, allocation: dict) -> None:

@@ -32,9 +32,10 @@ from .core import (
     Value,
     ZERO,
     bundle_value,
+    check_shares,
     format_value,
     fresh_id,
-    is_partition,
+    partition_values,
     scaled,
     validate_allocation,
 )
@@ -65,12 +66,12 @@ def is_ordered(instance: Instance) -> bool:
 class OrderingMap:
     """Per-agent bridge between an ordered instance and its original.
 
-    ``rank_goods`` lists the ordered instance's real good ids by rank;
-    ``by_agent[a]`` lists the original real good ids in agent a's own
+    ``ordered`` is the ordered instance, whose real goods are listed by
+    rank; ``by_agent[a]`` lists the original real good ids in agent a's own
     non-increasing value order (ties broken by original position).
     """
 
-    rank_goods: tuple
+    ordered: Instance
     by_agent: dict
 
 
@@ -114,7 +115,7 @@ def to_ordered(instance: Instance) -> tuple:
     ordered = Instance(agents=instance.agents, goods=rank_goods,
                        dummies=instance.dummies, valuations=valuations,
                        certificates=certificates)
-    return ordered, OrderingMap(rank_goods=rank_goods, by_agent=by_agent)
+    return ordered, OrderingMap(ordered=ordered, by_agent=by_agent)
 
 
 def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) -> dict:
@@ -125,22 +126,16 @@ def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) 
     by original position).  Each agent ends up with a bundle worth at
     least their ordered bundle, since the pick at rank t is at least that
     agent's t-th largest value.
-    """
-    if set(ordered_alloc) != set(mapping.by_agent):
-        raise ContractError("ordered allocation agents do not match the map")
-    owner_of_rank = {}
-    for a, bundle in ordered_alloc.items():
-        for g in bundle:
-            owner_of_rank[g] = a
-    if sum(map(len, ordered_alloc.values())) != len(owner_of_rank):
-        raise ContractError("ordered allocation holds a rank good more than once")
-    if set(owner_of_rank) != set(mapping.rank_goods):
-        raise ContractError("ordered allocation does not cover the rank goods")
 
+    ``ordered_alloc`` must be an allocation of ``mapping.ordered``; any
+    other raises ValidationError.
+    """
+    validate_allocation(mapping.ordered, ordered_alloc)
+    owner_of_rank = {g: a for a, bundle in ordered_alloc.items() for g in bundle}
     taken = set()
     cursor = {a: 0 for a in mapping.by_agent}
     bundles = {a: set() for a in mapping.by_agent}
-    for rank in mapping.rank_goods:
+    for rank in mapping.ordered.goods:
         a = owner_of_rank[rank]
         prefs = mapping.by_agent[a]
         i = cursor[a]
@@ -160,20 +155,21 @@ def normalize(instance: Instance, shares: Mapping) -> Instance:
     ``shares`` is the instance's {agent: MmsResult} table; no search runs.
     Each agent's values are divided cell-wise by the cell values of their
     maximin partition, which becomes the output's certificate (every cell
-    then worth exactly 1).  Requires every share to be positive (peel
-    zero-share agents first).
+    then worth exactly 1).  The table must be keyed by exactly the
+    instance's agents (``check_shares``, ContractError), and each partition
+    must split goods + dummies into n cells (``partition_values``,
+    ValidationError).  Requires every share to be positive (peel zero-share
+    agents first): a smallest cell other than the share, or an empty or
+    zero-value cell, raises ContractError.
     """
-    _check_shares(instance, shares)
+    check_shares(instance, shares, "shares")
     valuations = {}
     certificates = {}
     for a in instance.agents:
         partition = shares[a].partition
         row = instance.valuations[a]
-        if len(partition) != instance.n or not is_partition(partition, instance.all_goods):
-            raise ContractError(
-                f"agent {a}: maximin partition does not split all goods "
-                f"into {instance.n} cells")
-        cell_values = [sum((row[g] for g in cell), ZERO) for cell in partition]
+        cell_values = partition_values(row, partition, instance.n, instance.all_goods,
+                                       f"shares[{a}].partition")
         if min(cell_values) != shares[a].value:
             raise ContractError(
                 f"agent {a}: maximin partition's smallest cell is "
@@ -191,13 +187,6 @@ def normalize(instance: Instance, shares: Mapping) -> Instance:
     return Instance(agents=instance.agents, goods=instance.goods,
                     dummies=instance.dummies, valuations=valuations,
                     certificates=certificates)
-
-
-def _check_shares(instance: Instance, shares: Mapping) -> None:
-    if set(shares) != set(instance.agents):
-        raise ContractError(
-            f"shares are given for agents {sorted(shares)}, but the instance "
-            f"has agents {list(instance.agents)}")
 
 
 def rule_bundle(instance: Instance, k: int) -> tuple:
@@ -224,8 +213,9 @@ def rule_target(instance: Instance, alpha: Value, k: int,
                 mms_values: Mapping) -> Optional[int]:
     """Lowest-id agent valuing rule k's bundle at >= alpha times their MMS.
 
-    Returns None when no agent qualifies (the instance is rule-k
-    irreducible at this threshold).
+    ``mms_values`` must give a share for every agent of the instance
+    (``apply_reduction`` checks its table).  Returns None when no agent
+    qualifies (the instance is rule-k irreducible at this threshold).
     """
     goods = rule_bundle(instance, k)
     for a in sorted(instance.agents):
@@ -286,7 +276,10 @@ def apply_reduction(instance: Instance, alpha: Value,
     appends a fresh dummy good worth max(0, v_j(S4) - MMS_j) to each
     survivor j.  Returns (new instance, ReductionRecord).  The new
     instance is built by ``Instance.without``, which drops certificates.
+    ``mms_values`` must be keyed by exactly the instance's agents
+    (``check_shares``); any other table raises ContractError.
     """
+    check_shares(instance, mms_values, "mms_values")
     for k in RULES:
         agent = rule_target(instance, alpha, k, mms_values)
         if agent is not None:
@@ -330,7 +323,7 @@ def reduce(
         raise ContractError(
             f"threshold {alpha} outside (0, {alpha_limit(instance.n)}] "
             f"for {instance.n} agents")
-    _check_shares(instance, shares)
+    check_shares(instance, shares, "shares")
     records = []
     current = instance
     while current.n > 1:

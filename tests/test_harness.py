@@ -140,3 +140,30 @@ def test_verify_requires_complete_allocation():
     inst = random_instance(2, 2, 4)
     with pytest.raises(mf.ValidationError, match="unallocated"):
         mf.verify(inst, {0: frozenset(), 1: frozenset()}, Fraction(1, 2))
+
+
+def _two_agent_case():
+    inst = mf.make_instance(2, ["g1", "g2"],
+                            {a: {"g1": 1, "g2": 1} for a in range(2)})
+    return inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-1, 2), 0.75, True])
+def test_verify_rejects_a_malformed_alpha(alpha):
+    inst, alloc = _two_agent_case()
+    with pytest.raises(mf.ValidationError, match=r"^alpha: "):
+        mf.verify(inst, alloc, alpha)
+
+
+@pytest.mark.parametrize("share", [Fraction(-1), 1.5, True])
+def test_verify_rejects_a_malformed_share(share):
+    inst, alloc = _two_agent_case()
+    with pytest.raises(mf.ValidationError, match=r"^mms_values\[1\]: "):
+        mf.verify(inst, alloc, Fraction(3, 4), mms_values={0: 1, 1: share})
+
+
+@pytest.mark.parametrize("table", [{0: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, "1": 1}])
+def test_verify_rejects_a_share_table_for_other_agents(table):
+    inst, alloc = _two_agent_case()
+    with pytest.raises(mf.ContractError, match=r"^mms_values: "):
+        mf.verify(inst, alloc, Fraction(3, 4), mms_values=table)

@@ -323,13 +323,18 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # climb probes _covers only one above the best minimum cell seen so far,
     # each split polished by local search, so only the probe just above the
     # optimum fails, and no witness is built until the partition is read:
-    # then one _covers at the optimum, with a memo of its own.
+    # then one _covers at the optimum, with a memo of its own.  The seeded
+    # integer cases include splits that local search raises, so the climb's
+    # use of the polished minimum is checked.
     probes = _recording(monkeypatch)
-    rng = random.Random(53)
-    for _ in range(20):
-        values = [Fraction(rng.randint(1, 100), rng.randint(1, 100))
-                  for _ in range(rng.randint(7, 11))]
-        parts = rng.randint(3, 4)
+    rng, ints = random.Random(53), random.Random(1)
+    cases = [([Fraction(rng.randint(1, 100), rng.randint(1, 100))
+               for _ in range(rng.randint(7, 11))], rng.randint(3, 4))
+             for _ in range(20)]
+    cases += [([ints.randint(1, 1000) for _ in range(ints.randint(9, 12))],
+               ints.randint(3, 5)) for _ in range(20)]
+    raised = 0
+    for values, parts in cases:
         vals = _vals(values)
         weights, denom = core.scaled(values)
         probes.clear()
@@ -349,7 +354,10 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
             assert seen is not None and seen is probes[0][2]
             if cells is None:
                 break
-            lo = oracle._raise_min([[desc[i] for i in cell] for cell in cells], hi)
+            split = [[desc[i] for i in cell] for cell in cells]
+            low = min(map(sum, split))
+            lo = oracle._raise_min(split, hi)
+            raised += lo > low
         assert lo == value, (value, probes)
         # The climb ends at its first failure, at value + 1, or at
         # total // parts with none.
@@ -366,6 +374,7 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         probes.clear()
         assert r.partition == expected
         assert probes == []
+    assert raised, "no successful probe's split was raised by local search"
 
 
 def test_values_never_build_a_witness(monkeypatch):

@@ -223,12 +223,15 @@ def test_lift_ordered_rejects_incomplete_input():
     inst = random_instance(4, 2, 4)
     ordered, mapping = mf.to_ordered(inst)
     partial = {0: frozenset({ordered.goods[0]}), 1: frozenset()}
-    with pytest.raises(mf.ContractError, match="does not cover the rank goods"):
+    with pytest.raises(mf.ValidationError, match="unallocated"):
         mf.lift_ordered(mapping, inst, partial)
     r1, r2, r3, r4 = ordered.goods
     shared = {0: frozenset({r1, r2}), 1: frozenset({r2, r3, r4})}
-    with pytest.raises(mf.ContractError, match="more than once"):
+    with pytest.raises(mf.ValidationError, match="allocated twice"):
         mf.lift_ordered(mapping, inst, shared)
+    stranger = {0: frozenset({r1, r2}), 1: frozenset({r3, r4}), 2: frozenset()}
+    with pytest.raises(mf.ValidationError, match="unknown agents"):
+        mf.lift_ordered(mapping, inst, stranger)
 
 
 # --- normalization ----------------------------------------------------------
@@ -286,6 +289,15 @@ def test_normalize_rejects_zero_share_agents():
                             {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
     with pytest.raises(mf.ContractError):
         mf.normalize(inst, mf.instance_mms_all(inst))
+
+
+def test_normalize_rejects_a_partition_with_too_few_cells():
+    inst = mf.make_instance(3, ["g1", "g2", "g3"],
+                            {a: {"g1": 1, "g2": 1, "g3": 1} for a in range(3)})
+    shares = mf.instance_mms_all(inst)
+    shares[1] = mf.MmsResult(Fraction(1), (frozenset({"g1"}), frozenset({"g2", "g3"})))
+    with pytest.raises(mf.ValidationError, match=r"shares\[1\]\.partition: 2 cells, expected 3"):
+        mf.normalize(inst, shares)
 
 
 # --- reduction rules --------------------------------------------------------
@@ -400,6 +412,15 @@ def test_apply_reduction_applies_first_rule_that_fits():
     assert record.rule == "R2"
     assert record.removed_goods == frozenset(mf.rule_bundle(inst, 2))
     assert record.dummy_created is None
+
+
+def test_apply_reduction_rejects_a_partial_share_table():
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
+    with pytest.raises(mf.ContractError, match=r"mms_values: .* agents \['0'\]"):
+        mf.apply_reduction(inst, ALPHA34, {0: 1})
+    with pytest.raises(mf.ContractError, match="mms_values"):
+        mf.apply_reduction(inst, ALPHA34, {0: 1, 1: 1, 2: 1})
 
 
 # --- the reduce loop --------------------------------------------------------
