@@ -38,14 +38,21 @@ _AGENT_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_value(raw) -> Fraction:
-    """Parse an integer or a "p/q" string into an exact non-negative rational.
+    """Read an exact non-negative rational: a Fraction (subclasses too), an
+    int, or a string of digits or "p/q" digits.
+
+    A Fraction is returned as it is.  A bool, a float, any other type, a
+    malformed string or a negative value raises ValidationError.
 
     >>> parse_value("3/6")
     Fraction(1, 2)
     """
-    if isinstance(raw, bool):
+    # Values are Fractions on every path after parsing, so test that first.
+    if type(raw) is Fraction:
+        value = raw
+    elif isinstance(raw, bool):
         raise ValidationError(f"value must be an integer or 'p/q' string, got {raw!r}")
-    if isinstance(raw, int):
+    elif isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, str):
         match = _VALUE_STRING.fullmatch(raw.strip())
@@ -64,6 +71,14 @@ def parse_value(raw) -> Fraction:
     if value.numerator < 0:
         raise ValidationError(f"value must be non-negative, got {value}")
     return value
+
+
+def parse_field(raw, field: str) -> Fraction:
+    """``parse_value`` with its ValidationError naming ``field``."""
+    try:
+        return parse_value(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from None
 
 
 def format_value(value: Fraction) -> str:
@@ -156,10 +171,14 @@ class Instance:
         """A smaller instance: drop ``agents`` and real ``goods``.
 
         ``dummy`` is (dummy id, {survivor: value}); it is appended after
-        the existing dummies.  Certificates pin a partition of all goods
-        into n cells, so they are dropped whenever the instance changes.
+        the existing dummies.  With nothing to drop and no dummy the
+        instance itself is returned, certificates included.  Any other
+        call returns a new instance without certificates, since they pin
+        a partition of all goods into n cells.
         """
         agents, goods = set(agents), set(goods)
+        if not agents and not goods and dummy is None:
+            return self
         survivors = tuple(a for a in self.agents if a not in agents)
         valuations = {}
         for a in survivors:
@@ -167,13 +186,11 @@ class Instance:
             if dummy is not None:
                 row[dummy[0]] = dummy[1][a]
             valuations[a] = row
-        changed = agents or goods or dummy is not None
         return Instance(
             agents=survivors,
             goods=tuple(g for g in self.goods if g not in goods),
             dummies=self.dummies if dummy is None else self.dummies + (dummy[0],),
-            valuations=valuations,
-            certificates={} if changed else self.certificates)
+            valuations=valuations)
 
 
 def _ids(raw, field: str) -> tuple:
@@ -302,14 +319,13 @@ def validate_instance(instance: Instance) -> None:
         if a not in instance.valuations:
             raise ValidationError(f"valuations: missing row for agent {a}")
         row = instance.valuations[a]
-        missing = expected - set(row)
-        extra = set(row) - expected
-        if missing:
+        if row.keys() != expected:
+            missing = expected - set(row)
+            if missing:
+                raise ValidationError(
+                    f"valuations[{a}]: missing goods {sorted(map(str, missing))}")
             raise ValidationError(
-                f"valuations[{a}]: missing goods {sorted(map(str, missing))}")
-        if extra:
-            raise ValidationError(
-                f"valuations[{a}]: unknown goods {sorted(map(str, extra))}")
+                f"valuations[{a}]: unknown goods {sorted(map(str, set(row) - expected))}")
         for g, v in row.items():
             if not isinstance(v, Fraction):
                 raise ValidationError(f"valuations[{a}][{g}]: not an exact rational")
@@ -361,9 +377,16 @@ def validate_allocation(instance: Instance, allocation: dict) -> None:
 
 
 def bundle_value(instance: Instance, agent, bundle: Iterable) -> Fraction:
-    """Exact value of a bundle to an agent (empty bundle is worth 0)."""
-    total = ZERO
-    for g in bundle:
+    """Exact value of a bundle to an agent: the sum of its goods' values,
+    ZERO for an empty bundle.  An unknown agent or good raises
+    ValidationError (``Instance.value``)."""
+    goods = iter(bundle)
+    for g in goods:  # the first good's value starts the sum
+        total = instance.value(agent, g)
+        break
+    else:
+        return ZERO
+    for g in goods:
         total += instance.value(agent, g)
     return total
 

@@ -28,10 +28,10 @@ from .core import (
     check_shares,
     format_value,
     make_instance,
-    parse_value,
+    parse_field,
     validate_allocation,
 )
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_values
 
 
@@ -146,13 +146,13 @@ def verify(
     Agents with zero maximin share are treated as satisfied; if nobody has
     a positive share the score is 1.
 
-    ``alpha`` and every share are read by ``parse_value``, so a negative,
+    ``alpha`` and every share are read by ``parse_field``, so a negative,
     float or bool one raises ValidationError naming ``alpha`` or
     ``mms_values[a]``.  A table not keyed by exactly the instance's agents
     raises ContractError (``check_shares``).
     """
     validate_allocation(instance, allocation)
-    alpha = _value(alpha, "alpha")
+    alpha = parse_field(alpha, "alpha")
     if mms_values is None:
         mms_values = instance_mms_values(instance, max_goods=max_goods)
     check_shares(instance, mms_values, "mms_values")
@@ -160,7 +160,7 @@ def verify(
     ratios = []
     for a in instance.agents:
         bv = bundle_value(instance, a, allocation[a])
-        mv = _value(mms_values[a], f"mms_values[{a}]")
+        mv = parse_field(mms_values[a], f"mms_values[{a}]")
         ratio = bv / mv if mv > 0 else None
         per_agent[a] = (bv, mv, ratio)
         if ratio is not None:
@@ -168,11 +168,3 @@ def verify(
     score = min(ratios) if ratios else Fraction(1)
     return VerifyReport(alpha=alpha, score=score, passed=score >= alpha,
                         per_agent=per_agent)
-
-
-def _value(raw, field: str) -> Value:
-    """``parse_value`` with its ValidationError naming ``field``."""
-    try:
-        return parse_value(raw)
-    except ValidationError as exc:
-        raise ValidationError(f"{field}: {exc}") from None

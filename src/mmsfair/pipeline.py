@@ -17,7 +17,6 @@ cannot fail below that, and the runtime checks enforce exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .bagfill import BagFillRun, complete_allocation, run_bag_fill
@@ -33,6 +32,7 @@ from .errors import ContractError, InternalInvariantError
 from .harness import per_agent_json, verify
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
 from .transforms import (
+    CLASSIC_ALPHA,
     ReductionLog,
     alpha_limit,
     apply_reduction,
@@ -71,7 +71,7 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
     """
     bound = alpha_limit(n)
     if mode == "classic":
-        alpha = Fraction(3, 4)
+        alpha = CLASSIC_ALPHA
     elif mode == "improved":
         alpha = bound
     else:
@@ -81,7 +81,7 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
                 f"explicit alpha {alpha} is outside (0, {bound}] for n={n}; "
                 f"the allocation guarantee only holds up to {bound}")
         mode = "explicit"
-    return AlphaChoice(n_original=n, alpha=alpha, delta=alpha - Fraction(3, 4),
+    return AlphaChoice(n_original=n, alpha=alpha, delta=alpha - CLASSIC_ALPHA,
                        mode=mode)
 
 

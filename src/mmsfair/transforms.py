@@ -35,6 +35,7 @@ from .core import (
     check_shares,
     format_value,
     fresh_id,
+    parse_field,
     partition_values,
     scaled,
     validate_allocation,
@@ -44,12 +45,30 @@ from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
 
 RULES = (1, 2, 3, 4)
 
+# The classic threshold, above which rule 4 creates a dummy good.
+CLASSIC_ALPHA = Fraction(3, 4)
+
+# 3/4 + 1/36: the proven threshold for up to 7 agents.
+_ALPHA_UP_TO_7 = Fraction(7, 9)
+
 
 def alpha_limit(n: int) -> Fraction:
-    """Largest threshold with a proven guarantee: 3/4 + min(1/36, 3/(16n-4))."""
+    """Largest threshold with a proven guarantee for ``n`` agents:
+    3/4 + min(1/36, 3/(16n-4)), which is 7/9 for n <= 7 and 3n/(4n-1)
+    above.
+
+    ``n`` must be an int (not a bool) of at least 1; anything else raises
+    ContractError naming it.
+
+    >>> alpha_limit(3), alpha_limit(8)
+    (Fraction(7, 9), Fraction(24, 31))
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ContractError(f"agent count must be an int, got {n!r}")
     if n < 1:
         raise ContractError(f"agent count must be >= 1, got {n}")
-    return Fraction(3, 4) + min(Fraction(1, 36), Fraction(3, 16 * n - 4))
+    # 3/(16n-4) <= 1/36 exactly when n >= 7, and 3/4 + 3/(16n-4) = 3n/(4n-1).
+    return _ALPHA_UP_TO_7 if n <= 7 else Fraction(3 * n, 4 * n - 1)
 
 
 def is_ordered(instance: Instance) -> bool:
@@ -84,10 +103,11 @@ def to_ordered(instance: Instance) -> tuple:
     own permutation, which preserves that agent's cell values.
     """
     m = instance.m
-    dummy_set = set(instance.dummies)
     base = "r"
-    while any(f"{base}{t}" in dummy_set for t in range(1, m + 1)):
-        base += "r"
+    if instance.dummies:
+        dummy_set = set(instance.dummies)
+        while any(f"{base}{t}" in dummy_set for t in range(1, m + 1)):
+            base += "r"
     rank_goods = tuple(f"{base}{t}" for t in range(1, m + 1))
 
     by_agent = {}
@@ -213,10 +233,13 @@ def rule_target(instance: Instance, alpha: Value, k: int,
                 mms_values: Mapping) -> Optional[int]:
     """Lowest-id agent valuing rule k's bundle at >= alpha times their MMS.
 
-    ``mms_values`` must give a share for every agent of the instance
-    (``apply_reduction`` checks its table).  Returns None when no agent
-    qualifies (the instance is rule-k irreducible at this threshold).
+    ``mms_values`` must be keyed by exactly the instance's agents
+    (``check_shares``); any other table raises ContractError.  Its values
+    are compared as given: ``apply_reduction`` reads them through
+    ``parse_field`` first.  Returns None when no agent qualifies (the
+    instance is rule-k irreducible at this threshold).
     """
+    check_shares(instance, mms_values, "mms_values")
     goods = rule_bundle(instance, k)
     for a in sorted(instance.agents):
         if bundle_value(instance, a, goods) >= alpha * mms_values[a]:
@@ -277,9 +300,13 @@ def apply_reduction(instance: Instance, alpha: Value,
     survivor j.  Returns (new instance, ReductionRecord).  The new
     instance is built by ``Instance.without``, which drops certificates.
     ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ContractError.
+    (``check_shares``); any other table raises ContractError.  Each share
+    is read by ``parse_field``, so a negative, float or bool one raises
+    ValidationError naming ``mms_values[a]``.
     """
     check_shares(instance, mms_values, "mms_values")
+    mms_values = {a: parse_field(mms_values[a], f"mms_values[{a}]")
+                  for a in instance.agents}
     for k in RULES:
         agent = rule_target(instance, alpha, k, mms_values)
         if agent is not None:
@@ -288,7 +315,7 @@ def apply_reduction(instance: Instance, alpha: Value,
         return None
     removed = frozenset(rule_bundle(instance, k))
     dummy_created = None
-    if k == 4 and alpha > Fraction(3, 4):
+    if k == 4 and alpha > CLASSIC_ALPHA:
         dummy_created = (fresh_id("d", instance.all_goods), {
             a: max(ZERO, bundle_value(instance, a, removed) - mms_values[a])
             for a in instance.agents if a != agent
@@ -297,7 +324,7 @@ def apply_reduction(instance: Instance, alpha: Value,
     record = ReductionRecord(rule=f"R{k}", agent=agent,
                              removed_goods=removed,
                              dummy_created=dummy_created,
-                             pre_mms=dict(mms_values))
+                             pre_mms=mms_values)
     return reduced, record
 
 

@@ -30,8 +30,17 @@ def test_value_render_parse_roundtrip():
         assert mf.parse_value(mf.format_value(x)) == x
 
 
+def test_parse_value_accepts_a_fraction_subclass_and_rejects_its_negatives():
+    class Exact(Fraction):
+        pass
+
+    assert mf.parse_value(Exact(3, 4)) == Fraction(3, 4)
+    with pytest.raises(mf.ValidationError, match="non-negative"):
+        mf.parse_value(Exact(-3, 4))
+
+
 @pytest.mark.parametrize("bad", [-1, "-2/3", "abc", "1/0", True, 0.5, None,
-                                 "1e3", "1.5", Fraction(-1, 2)])
+                                 "1e3", "1.5", Fraction(-1, 2), False])
 def test_parse_value_rejects_garbage(bad):
     with pytest.raises(mf.ValidationError):
         mf.parse_value(bad)
@@ -101,6 +110,34 @@ def test_validate_instance_rejects_ragged_row():
                                    1: {"g1": Fraction(1)}})
     with pytest.raises(mf.ValidationError, match="missing"):
         mf.validate_instance(inst)
+
+
+def test_validate_instance_names_missing_and_unknown_goods():
+    one = Fraction(1)
+    rows = [({"g1": one}, r"valuations\[1\]: missing goods \['g2'\]$"),
+            ({"g1": one, "g2": one, "d1": one, "x": one},
+             r"valuations\[1\]: unknown goods \['d1', 'x'\]$"),
+            # a row both missing and adding a good reports the missing one
+            ({"g1": one, "x": one}, r"valuations\[1\]: missing goods \['g2'\]$")]
+    for row, message in rows:
+        inst = mf.Instance(agents=(0, 1), goods=("g1", "g2"), dummies=(),
+                           valuations={0: {"g1": one, "g2": one}, 1: row})
+        with pytest.raises(mf.ValidationError, match=message):
+            mf.validate_instance(inst)
+
+
+def test_without_nothing_to_drop_is_the_instance_itself():
+    inst = mf.gen_tight_example(3)
+    assert inst.without() is inst
+    assert inst.without(agents=[], goods=set()) is inst
+    assert inst.without().certificates == inst.certificates != {}
+    changed = [inst.without(agents=(0,)), inst.without(goods=("g9",)),
+               inst.without(dummy=("d1", {a: Fraction(0) for a in inst.agents}))]
+    for smaller in changed:
+        assert smaller is not inst
+        assert smaller.certificates == {}
+        mf.validate_instance(smaller)
+    assert inst.certificates != {}
 
 
 def test_validate_instance_rejects_duplicate_good_ids():

@@ -1,6 +1,7 @@
 """Ordering, normalization, reduction rules, and both lift procedures."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,13 @@ def test_rule_target_tight_example():
     assert mf.rule_target(inst, ALPHA34, 1, values) is None
 
 
+def test_rule_target_rejects_a_share_table_missing_an_agent():
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
+    with pytest.raises(mf.ContractError, match=r"^mms_values: .* agents \[\]"):
+        mf.rule_target(inst, ALPHA34, 1, {})
+
+
 def test_rule_target_empty_bundle_is_none():
     # 3 agents, 3 goods: rules 2..4 have no bundle, rule 1 fails below alpha*MMS
     inst = mf.make_instance(3, ["g1", "g2", "g3"],
@@ -421,6 +429,45 @@ def test_apply_reduction_rejects_a_partial_share_table():
         mf.apply_reduction(inst, ALPHA34, {0: 1})
     with pytest.raises(mf.ContractError, match="mms_values"):
         mf.apply_reduction(inst, ALPHA34, {0: 1, 1: 1, 2: 1})
+
+
+@pytest.mark.parametrize("share", [1.5, True, -1, "x"])
+def test_apply_reduction_rejects_a_share_that_is_not_an_exact_rational(share):
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
+    with pytest.raises(mf.ValidationError, match=r"^mms_values\[0\]: "):
+        mf.apply_reduction(inst, ALPHA34, {0: share, 1: 1})
+
+
+def test_apply_reduction_records_shares_read_as_fractions():
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
+    _, record = mf.apply_reduction(inst, ALPHA34, {1: "2/1", 0: 2})
+    assert record.pre_mms == {0: Fraction(2), 1: Fraction(2)}
+    assert all(type(v) is Fraction for v in record.pre_mms.values())
+
+
+# --- thresholds -------------------------------------------------------------
+
+def test_alpha_limit_matches_the_paper_formula():
+    for n in range(1, 201):
+        assert mf.alpha_limit(n) == (
+            Fraction(3, 4) + min(Fraction(1, 36), Fraction(3, 16 * n - 4)))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(3), "3", None])
+def test_alpha_limit_rejects_an_agent_count_that_is_not_an_int(bad):
+    message = re.escape(f"agent count must be an int, got {bad!r}")
+    with pytest.raises(mf.ContractError, match=message):
+        mf.alpha_limit(bad)
+    with pytest.raises(mf.ContractError, match=message):
+        mf.alpha_for(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_alpha_limit_rejects_fewer_than_one_agent(bad):
+    with pytest.raises(mf.ContractError, match=rf"agent count must be >= 1, got {bad}"):
+        mf.alpha_limit(bad)
 
 
 # --- the reduce loop --------------------------------------------------------
