@@ -464,12 +464,6 @@ def test_alpha_limit_rejects_an_agent_count_that_is_not_an_int(bad):
         mf.alpha_for(bad)
 
 
-@pytest.mark.parametrize("bad", [0, -3])
-def test_alpha_limit_rejects_fewer_than_one_agent(bad):
-    with pytest.raises(mf.ContractError, match=rf"agent count must be >= 1, got {bad}"):
-        mf.alpha_limit(bad)
-
-
 # --- the reduce loop --------------------------------------------------------
 
 def test_reduce_tight_example_starts_with_rule2():
