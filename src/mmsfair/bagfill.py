@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Value, format_value, validate_allocation
+from .core import Instance, Value, format_value, parse_field, validate_allocation
 from .errors import ContractError
 from .transforms import is_ordered
 
@@ -55,7 +55,12 @@ class BagFillRun:
 
 
 def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
-    """Bag filling with a full event trace (see module docstring)."""
+    """Bag filling with a full event trace (see module docstring).
+
+    ``alpha`` is read by ``parse_field``, so a negative, float or bool one
+    raises ValidationError naming ``alpha``.
+    """
+    alpha = parse_field(alpha, "alpha")
     if not is_ordered(instance):
         raise ContractError("bag filling requires an ordered instance")
     n, m = instance.n, instance.m

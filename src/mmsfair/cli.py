@@ -24,7 +24,6 @@ from .core import (
     format_value,
     instance_from_json,
     instance_to_json,
-    parse_value,
 )
 from .errors import (
     CapacityError,
@@ -108,8 +107,7 @@ def _cmd_mms(args) -> int:
 def _cmd_verify(args) -> int:
     instance = _load_instance(args.input)
     allocation = allocation_from_json(instance, _read_json(args.allocation))
-    alpha = parse_value(args.alpha)
-    report = verify(instance, allocation, alpha, max_goods=args.max_goods)
+    report = verify(instance, allocation, args.alpha, max_goods=args.max_goods)
     _write_json(report.to_json(), args.output)
     return 0
 

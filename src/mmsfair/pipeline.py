@@ -9,7 +9,8 @@ and totally irreducible before bag filling, and the final score is
 checked against alpha; either failing is an internal invariant
 violation, never a silently degraded answer.
 
-The threshold is fixed once from the original agent count.  The proven
+The threshold is fixed once from the original agent count, and
+``AlphaChoice`` checks it against that count when built.  The proven
 guarantee is alpha = 3/4 + min(1/36, 3/(16n-4)); bag filling provably
 cannot fail below that, and the runtime checks enforce exactly that.
 """
@@ -25,7 +26,6 @@ from .core import (
     Value,
     allocation_to_json,
     format_value,
-    parse_value,
     validate_instance,
 )
 from .errors import ContractError, InternalInvariantError
@@ -36,6 +36,7 @@ from .transforms import (
     ReductionLog,
     alpha_limit,
     apply_reduction,
+    check_alpha,
     lift_ordered,
     lift_reductions,
     normalize,
@@ -46,12 +47,25 @@ from .transforms import (
 
 @dataclass(frozen=True)
 class AlphaChoice:
-    """A solve threshold: alpha, its excess over 3/4, and the n it came from."""
+    """A solve threshold: alpha and the original agent count n it is for.
+
+    It is checked when built: ``alpha`` goes through ``check_alpha`` for
+    ``n_original`` and is stored as the Fraction read, so a hand-built
+    choice above the proven bound, or at most 0, raises ContractError, and
+    one that is not an exact rational raises ValidationError naming
+    ``alpha``.  ``delta``, the excess over 3/4, is derived from alpha.
+    """
 
     n_original: int
     alpha: Value
-    delta: Value
     mode: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", check_alpha(self.alpha, self.n_original))
+
+    @property
+    def delta(self) -> Value:
+        return self.alpha - CLASSIC_ALPHA
 
     def to_json(self) -> dict:
         return {
@@ -66,23 +80,16 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
     """Pick the solve threshold for an instance with n agents.
 
     Modes: "classic" gives 3/4; "improved" gives 3/4 + min(1/36, 3/(16n-4));
-    anything else is parsed as an explicit rational, which must lie in
-    (0, improved bound] or it is rejected (no guarantee would hold above).
+    anything else is an explicit rational.  ``AlphaChoice`` checks the
+    result, so an explicit value outside (0, improved bound] raises
+    ContractError (no guarantee would hold above) and one that is not an
+    exact rational raises ValidationError naming ``alpha``.
     """
-    bound = alpha_limit(n)
     if mode == "classic":
-        alpha = CLASSIC_ALPHA
-    elif mode == "improved":
-        alpha = bound
-    else:
-        alpha = parse_value(mode)
-        if not (0 < alpha <= bound):
-            raise ContractError(
-                f"explicit alpha {alpha} is outside (0, {bound}] for n={n}; "
-                f"the allocation guarantee only holds up to {bound}")
-        mode = "explicit"
-    return AlphaChoice(n_original=n, alpha=alpha, delta=alpha - CLASSIC_ALPHA,
-                       mode=mode)
+        return AlphaChoice(n_original=n, alpha=CLASSIC_ALPHA, mode=mode)
+    if mode == "improved":
+        return AlphaChoice(n_original=n, alpha=alpha_limit(n), mode=mode)
+    return AlphaChoice(n_original=n, alpha=mode, mode="explicit")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,23 @@ def alpha_limit(n: int) -> Fraction:
     return _ALPHA_UP_TO_7 if n <= 7 else Fraction(3 * n, 4 * n - 1)
 
 
+def check_alpha(alpha, n: int) -> Fraction:
+    """Read a solve threshold for ``n`` agents and return it as a Fraction.
+
+    ``alpha`` is read by ``parse_field``, so a float, bool or malformed one
+    raises ValidationError naming ``alpha``; one outside
+    (0, ``alpha_limit(n)``] raises ContractError, since no guarantee holds
+    there.
+    """
+    bound = alpha_limit(n)
+    alpha = parse_field(alpha, "alpha")
+    if not (0 < alpha <= bound):
+        raise ContractError(
+            f"alpha {alpha} is outside (0, {bound}] for n={n}; "
+            f"the allocation guarantee only holds up to {bound}")
+    return alpha
+
+
 def is_ordered(instance: Instance) -> bool:
     """True if every agent's values are non-increasing along the good order."""
     for a in instance.agents:
@@ -300,10 +317,11 @@ def apply_reduction(instance: Instance, alpha: Value,
     survivor j.  Returns (new instance, ReductionRecord).  The new
     instance is built by ``Instance.without``, which drops certificates.
     ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ContractError.  Each share
-    is read by ``parse_field``, so a negative, float or bool one raises
-    ValidationError naming ``mms_values[a]``.
+    (``check_shares``); any other table raises ContractError.  ``alpha``
+    and each share are read by ``parse_field``, so a negative, float or
+    bool one raises ValidationError naming ``alpha`` or ``mms_values[a]``.
     """
+    alpha = parse_field(alpha, "alpha")
     check_shares(instance, mms_values, "mms_values")
     mms_values = {a: parse_field(mms_values[a], f"mms_values[{a}]")
                   for a in instance.agents}
@@ -343,13 +361,12 @@ def reduce(
     Each reduced instance with more than one agent is searched once; a
     survivor's share shrinking below the value the reduction used would
     break the reduction's validity and raises InternalInvariantError.
+    ``alpha`` must pass ``check_alpha`` for this instance's agent count
+    (ValidationError or ContractError naming ``alpha``).
     """
     if not is_ordered(instance):
         raise ContractError("reduce requires an ordered instance")
-    if not (0 < alpha <= alpha_limit(instance.n)):
-        raise ContractError(
-            f"threshold {alpha} outside (0, {alpha_limit(instance.n)}] "
-            f"for {instance.n} agents")
+    alpha = check_alpha(alpha, instance.n)
     check_shares(instance, shares, "shares")
     records = []
     current = instance

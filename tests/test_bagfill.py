@@ -52,6 +52,11 @@ def test_contract_errors():
         mf.run_bag_fill(unordered, Fraction(3, 4))
 
 
+def test_alpha_is_read_as_an_exact_rational():
+    with pytest.raises(mf.ValidationError, match="^alpha: "):
+        mf.run_bag_fill(mf.gen_tight_example(3), 0.5)
+
+
 def test_dummies_never_enter_bags():
     inst = mf.make_instance(2, ["g1", "g2", "g3", "g4"],
                             {a: {"g1": 4, "g2": 3, "g3": 2, "g4": 1, "d1": 100}

@@ -265,6 +265,20 @@ def test_explicit_alpha_above_bound_rejected(tmp_path, capsys):
     assert "guarantee" in err
 
 
+def test_an_alpha_that_is_not_an_exact_rational_exits_2_naming_alpha(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    alloc_file = tmp_path / "alloc.json"
+    _run(capsys, "gen", "tight", "--n", "3", "--output", str(inst_file))
+    goods = json.loads(inst_file.read_text())["goods"]
+    alloc_file.write_text(json.dumps({"0": goods, "1": [], "2": []}))
+    for argv in (("solve", "--input", str(inst_file), "--alpha", "1.5"),
+                 ("verify", "--input", str(inst_file), "--allocation", str(alloc_file),
+                  "--alpha", "x")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: alpha: "), (argv, err)
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = _run(capsys, "solve", "--input", "/nonexistent.json")
     assert code == 2

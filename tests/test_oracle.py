@@ -618,6 +618,19 @@ def test_covers_cell_size_bound_refutes_near_equal_weights(monkeypatch):
     assert sorted(sum(desc[i] for i in cell) for cell in cells) == [8, 9, 12]
 
 
+def test_cover_memo_key_keeps_the_cell_count():
+    # The five 1s make one cell of 3, not two, so the full mask fails at
+    # k = 3, tau = 3; at k = 2 and the higher tau = 4 it splits into {5}
+    # and the five 1s.  A key of the mask alone would refute it from the
+    # first call's entry.
+    desc, full, seen = [5, 1, 1, 1, 1, 1], 0b111111, set()
+    assert not oracle._cover(desc, full, 3, 3, seen, [])
+    assert seen
+    starts = []
+    assert oracle._cover(desc, full, 2, 4, seen, starts)
+    assert starts == [0b111110, full]
+
+
 # (valuation, good set, what the ValidationError says)
 MALFORMED_VALUES = [
     ({"a": Fraction(1), "b": Fraction(-1, 2)}, ["a", "b"], "negative value for good 'b'"),

@@ -1,5 +1,6 @@
 """Threshold selection and the end-to-end solver."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -49,6 +50,47 @@ def test_alpha_for_rejects_bad_values():
     for negative in ("-1/2", Fraction(-1, 2)):
         with pytest.raises(mf.ValidationError):
             mf.alpha_for(4, negative)
+
+
+def test_alpha_choice_json_for_each_mode():
+    assert mf.alpha_for(3, "classic").to_json() == {
+        "mode": "classic", "n": 3, "alpha": "3/4", "delta": "0/1"}
+    assert mf.alpha_for(9, "improved").to_json() == {
+        "mode": "improved", "n": 9, "alpha": "27/35", "delta": "3/140"}
+    assert mf.alpha_for(4, "2/3").to_json() == {
+        "mode": "explicit", "n": 4, "alpha": "2/3", "delta": "-1/12"}
+
+
+def test_alpha_choice_checks_alpha_when_built_and_derives_delta():
+    assert [f.name for f in dataclasses.fields(mf.AlphaChoice)] == [
+        "n_original", "alpha", "mode"]
+    choice = mf.AlphaChoice(n_original=3, alpha="7/9", mode="explicit")
+    assert type(choice.alpha) is Fraction and choice.alpha == Fraction(7, 9)
+    assert choice.delta == Fraction(1, 36)
+    for n, alpha in ((8, Fraction(7, 9)), (3, 0), (3, 5)):
+        with pytest.raises(mf.ContractError, match="guarantee"):
+            mf.AlphaChoice(n_original=n, alpha=alpha, mode="explicit")
+    for alpha in (0.75, True, "garbage"):
+        with pytest.raises(mf.ValidationError, match="^alpha: "):
+            mf.AlphaChoice(n_original=3, alpha=alpha, mode="explicit")
+
+
+def test_no_solve_runs_above_the_bound_for_the_original_agent_count():
+    # After agent 0 is peeled, 7 agents remain, whose bound 7/9 lies above
+    # the 24/31 proven for the instance's 8; an all-zero instance would
+    # otherwise reach the final score check at alpha 5.  Building the
+    # choice raises, so neither solve starts.
+    goods = [f"g{j}" for j in range(1, 13)]
+    rng = random.Random(1)
+    rows = {0: {g: 0 for g in goods}}
+    rows.update({a: {g: rng.randint(1, 30) for g in goods} for a in range(1, 8)})
+    peeled = mf.make_instance(8, goods, rows)
+    all_zero = mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=3, m=4,
+                                              value_bound=0, seed=4))
+    for inst, alpha in ((peeled, Fraction(7, 9)), (all_zero, 5)):
+        with pytest.raises(mf.ContractError, match="guarantee"):
+            mf.approx_mms(inst, mf.AlphaChoice(n_original=inst.n, alpha=alpha,
+                                               mode="explicit"))
 
 
 def test_single_agent_takes_everything():

@@ -439,6 +439,13 @@ def test_apply_reduction_rejects_a_share_that_is_not_an_exact_rational(share):
         mf.apply_reduction(inst, ALPHA34, {0: share, 1: 1})
 
 
+def test_apply_reduction_reads_alpha_as_an_exact_rational():
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
+    with pytest.raises(mf.ValidationError, match="^alpha: "):
+        mf.apply_reduction(inst, 0.75, {0: 2, 1: 2})
+
+
 def test_apply_reduction_records_shares_read_as_fractions():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
@@ -484,6 +491,12 @@ def test_reduce_rejects_alpha_beyond_limit():
     inst = mf.gen_tight_example(3)
     with pytest.raises(mf.ContractError):
         mf.reduce(inst, mf.alpha_limit(3) + Fraction(1, 1000), mf.instance_mms_all(inst))
+
+
+def test_reduce_rejects_a_float_alpha():
+    inst = mf.gen_tight_example(3)
+    with pytest.raises(mf.ValidationError, match="^alpha: "):
+        mf.reduce(inst, 0.75, mf.instance_mms_all(inst))
 
 
 def test_reduce_fixpoint_on_irreducible_instance():
