@@ -73,7 +73,7 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
             for a in instance.agents}
     spare = list(goods[2 * n:])
     spare_at = 0
-    unsatisfied = sorted(instance.agents)
+    unsatisfied = list(instance.agents)
     open_bags = list(range(1, n + 1))
     assignments = {}
     trace = []
@@ -121,11 +121,10 @@ def complete_allocation(instance: Instance, bundles: dict) -> dict:
         raise ContractError("bag bundles must cover every agent")
     completed = {a: set(bundles[a]) for a in instance.agents}
     taken = set().union(*bundles.values())
-    agents = sorted(instance.agents)
     for g in instance.goods:
         if g not in taken:
             # max keeps the first of equal values: the lowest agent id.
-            completed[max(agents, key=lambda a: instance.value(a, g))].add(g)
+            completed[max(instance.agents, key=lambda a: instance.value(a, g))].add(g)
     result = {a: frozenset(b) for a, b in completed.items()}
     validate_allocation(instance, result)
     return result

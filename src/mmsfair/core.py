@@ -115,7 +115,9 @@ class Instance:
     """A fair-division instance: agents, goods, dummies, and valuations.
 
     Fields:
-        agents:     stable agent ids, in canonical (ascending) order.
+        agents:     stable int agent ids, in strictly ascending order
+                    (``validate_instance`` checks it); ties between
+                    agents go to the lowest id, the first listed.
         goods:      real good ids; their order is the canonical good order
                     used for deterministic tie-breaking.
         dummies:    dummy good ids (may be empty).  Dummies count toward
@@ -194,16 +196,24 @@ class Instance:
 
 
 def _ids(raw, field: str) -> tuple:
-    """A list, tuple or set of distinct string ids, as a tuple; anything
-    else raises ValidationError naming ``field``."""
+    """A list, tuple or set of distinct string ids, as a tuple: a set's
+    ids sorted, a list's or tuple's in their order.  Anything else raises
+    ValidationError naming ``field``.
+
+    >>> _ids({"g2", "g10", "g1"}, "goods")
+    ('g1', 'g10', 'g2')
+    """
     if not (isinstance(raw, (list, tuple, set, frozenset))
             and all(isinstance(g, str) for g in raw)):
         raise ValidationError(f"{field} must be a list of string ids, got {raw!r}")
-    seen = set()
-    for g in raw:
-        if g in seen:
-            raise ValidationError(f"{field} repeats id {g!r}")
-        seen.add(g)
+    if isinstance(raw, (set, frozenset)):
+        return tuple(sorted(raw))
+    if len(set(raw)) != len(raw):
+        seen = set()
+        for g in raw:
+            if g in seen:
+                raise ValidationError(f"{field} repeats id {g!r}")
+            seen.add(g)
     return tuple(raw)
 
 
@@ -217,12 +227,13 @@ def make_instance(
     """Build an Instance over agents 0..n-1 with defensive copies.
 
     ``goods``, ``dummies`` and each certificate cell are lists, tuples or
-    sets of distinct string ids; ``valuations`` maps each agent to a mapping
-    of good id -> value (an int, a "p/q" string or a Fraction), and
-    ``certificates`` (None for none) each certified agent to a list or tuple
-    of cells.  Anything else, a missing row or a count that is not a
-    non-negative int raises ValidationError naming the field.  Missing rows
-    are found before anything is built, so a huge count costs nothing.
+    sets of distinct string ids (``_ids``: a set's ids are read sorted);
+    ``valuations`` maps each agent to a mapping of good id -> value (an
+    int, a "p/q" string or a Fraction), and ``certificates`` (None for
+    none) each certified agent to a list or tuple of cells.  Anything
+    else, a missing row or a count that is not a non-negative int raises
+    ValidationError naming the field.  Missing rows are found before
+    anything is built, so a huge count costs nothing.
     ``validate_instance`` checks the rest.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -297,10 +308,11 @@ def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable
 def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
-    Verified: string good ids, unique across goods and dummies, unique
-    agent ids, no row or certificate for an unknown agent, a complete
-    valuation row per agent (no missing or extra goods), non-negative
-    values throughout, and a certificates mapping checked by ``certificate_value``.
+    Verified: string good ids, unique across goods and dummies, int
+    agent ids (not bools) in strictly ascending order, no row or
+    certificate for an unknown agent, a complete valuation row per agent
+    (no missing or extra goods), non-negative values throughout, and a
+    certificates mapping checked by ``certificate_value``.
     """
     seen = set()
     for g in instance.all_goods:
@@ -309,9 +321,11 @@ def validate_instance(instance: Instance) -> None:
         if g in seen:
             raise ValidationError(f"duplicate good id {g!r}")
         seen.add(g)
-    if len(set(instance.agents)) != len(instance.agents):
-        raise ValidationError("duplicate agent ids")
-    extra = set(instance.valuations) - set(instance.agents)
+    agents = instance.agents
+    if not (all(type(a) is int for a in agents)
+            and all(a < b for a, b in zip(agents, agents[1:]))):
+        raise ValidationError(f"agents: ids must be ascending ints, got {list(agents)}")
+    extra = set(instance.valuations) - set(agents)
     if extra:
         raise ValidationError(f"valuations: unknown agents {sorted(map(str, extra))}")
     expected = set(instance.all_goods)

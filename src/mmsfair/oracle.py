@@ -47,7 +47,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, certificate_cells, certificate_value, scaled_ratios
+from .core import Instance, Value, _ids, certificate_cells, certificate_value, scaled_ratios
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
@@ -98,26 +98,16 @@ class MmsResult:
     partition: tuple = _Deferred()  # of frozensets of good ids
 
 
-def _canonical_goods(good_set: Iterable) -> list:
-    """Fix a deterministic good order: keep sequence order, sort bare sets."""
-    if isinstance(good_set, (list, tuple)):
-        return list(good_set)
-    return sorted(good_set, key=str)
-
-
 def _check_parts(parts) -> None:
     """Reject a part count that is not an int >= 1; a bool is not one."""
     if isinstance(parts, bool) or not isinstance(parts, int) or parts < 1:
         raise ContractError(f"parts must be an int >= 1, got {parts!r}")
 
 
-def _checked_ratios(valuation: Mapping, goods: list) -> list:
+def _checked_ratios(valuation: Mapping, goods: Sequence) -> list:
     """The integer ratio (numerator, denominator) of each good's value, which
-    must be listed once, be in ``valuation``, and be a non-negative int or
-    Fraction (not a bool).  Each value is read once: its ratio gives the
-    sign."""
-    if len(set(goods)) != len(goods):
-        raise ValidationError("good set contains duplicate ids")
+    must be in ``valuation`` and be a non-negative int or Fraction (not a
+    bool).  Each value is read once: its ratio gives the sign."""
     ratios = []
     for g in goods:
         try:
@@ -311,7 +301,7 @@ def _out_of_stack(count: int) -> CapacityError:
         f"max_goods (--max-goods), or supply a certificate")
 
 
-def _witness(goods: list, weights: list, desc: list, parts: int, value: int) -> tuple:
+def _witness(goods: tuple, weights: list, desc: list, parts: int, value: int) -> tuple:
     """The witness of the share ``value``, as frozensets of goods.
 
     ``weights`` holds each good's weight and ``desc`` the positive ones in
@@ -335,7 +325,7 @@ def _witness(goods: list, weights: list, desc: list, parts: int, value: int) -> 
     return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
 
-def _max_min_partition(weights: Sequence[int], parts: int, goods: list) -> tuple:
+def _max_min_partition(weights: Sequence[int], parts: int, goods: tuple) -> tuple:
     """Exact maximin over integer weights, one per good: (value, witness).
 
     The value is found by a climb that builds no witness.  It starts at a
@@ -386,13 +376,14 @@ def mms(
 ) -> MmsResult:
     """Exact maximin share of ``good_set`` split into ``parts`` bundles.
 
-    ``valuation`` maps good id -> a non-negative int or Fraction (not a
-    bool); any other value, a missing good or a duplicate good id raises
-    ValidationError, as does a ``max_goods`` that is not a non-negative
-    int, certificate or not; a ``parts`` that is not a positive int (a
-    bool is not one) raises ContractError.  When fewer goods than parts
-    have positive value the value is 0, and a searched partition has
-    every good in cell 0.  A search over more than ``max_goods`` goods
+    ``good_set`` is a list, tuple or set of distinct string ids, read by
+    ``_ids`` (a set's ids sorted).  ``valuation`` maps good id -> a
+    non-negative int or Fraction (not a bool); any other value, a missing
+    good or any other ``good_set`` raises ValidationError, as does a
+    ``max_goods`` that is not a non-negative int, certificate or not; a
+    ``parts`` that is not a positive int (a bool is not one) raises
+    ContractError.  When fewer goods than parts have positive value the
+    value is 0, and a searched partition has every good in cell 0.  A search over more than ``max_goods`` goods
     raises CapacityError, as does a search or a partition read that
     recurses past the stack (a cell of about a thousand goods); the good
     count is the only limit, whatever the part count.  An equal-valued
@@ -404,7 +395,7 @@ def mms(
     _check_parts(parts)
     if isinstance(max_goods, bool) or not isinstance(max_goods, int) or max_goods < 0:
         raise ValidationError(f"max_goods must be an int of at least 0, got {max_goods!r}")
-    goods = _canonical_goods(good_set)
+    goods = _ids(good_set, "good_set")
     ratios = _checked_ratios(valuation, goods)
     if certificate is not None:
         cells = certificate_cells(certificate, "certificate")
@@ -425,10 +416,11 @@ def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
     """Independent oracle: try every assignment of goods to cells.
 
     No memoization, no pruning; limited to 10 goods and 4 parts.  Exists
-    solely to cross-check ``mms``, and checks its values as ``mms`` does.
+    solely to cross-check ``mms``, and reads its good set and checks its
+    values as ``mms`` does.
     """
     _check_parts(parts)
-    goods = _canonical_goods(good_set)
+    goods = _ids(good_set, "good_set")
     if len(goods) > 10 or parts > 4:
         raise CapacityError("mms_naive is limited to 10 goods / 4 parts")
     weights, denom = scaled_ratios(_checked_ratios(valuation, goods))

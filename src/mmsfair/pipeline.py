@@ -158,10 +158,9 @@ def approx_mms(
 
     bag_run = irreducible = None
     if len(peeled) == instance.n:
-        # Nobody can secure positive value; park all goods on the first agent.
+        # Nobody can secure positive value; park all goods on the lowest id.
         allocation = {a: frozenset() for a in instance.agents}
-        if instance.agents:
-            allocation[instance.agents[0]] = frozenset(instance.goods)
+        allocation[instance.agents[0]] = frozenset(instance.goods)
         log = ReductionLog(records=(), initial=instance, final=instance)
     else:
         working = ordered.without(agents=peeled)

@@ -258,7 +258,7 @@ def rule_target(instance: Instance, alpha: Value, k: int,
     """
     check_shares(instance, mms_values, "mms_values")
     goods = rule_bundle(instance, k)
-    for a in sorted(instance.agents):
+    for a in instance.agents:
         if bundle_value(instance, a, goods) >= alpha * mms_values[a]:
             return a
     return None

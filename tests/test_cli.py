@@ -335,12 +335,13 @@ def _solve_trace(tmp_path, capsys, inst_file):
     return json.loads(trace_file.read_text())
 
 
-def _exit_4_dump(capsys, inst_file):
-    """The JSON after the message line of a solve that must exit 4."""
+def _exit_4_dump(capsys, inst_file, reason=""):
+    """The JSON after the message line of a solve that must exit 4; the
+    message must start with ``reason``."""
     code, out, err = _run(capsys, "solve", "--input", str(inst_file))
     assert code == 4 and out == "", err
     message, _, dump = err.partition("\n")
-    assert message.startswith("internal invariant violated: "), err
+    assert message.startswith("internal invariant violated: " + reason), err
     doc = json.loads(dump)
     assert sorted(doc) == ["bagfill", "reductions"], doc
     assert doc["reductions"] and all(
@@ -366,17 +367,53 @@ def test_share_drop_exits_4_with_the_trace_document(tmp_path, capsys, monkeypatc
     assert doc == {"reductions": trace["reductions"][:1], "bagfill": []}
 
 
-def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeypatch):
+def _bag_filling_solve(tmp_path, capsys):
+    """A ``gen tight --n 5`` file, which reaches bag filling, and its trace."""
     inst_file = tmp_path / "inst.json"
     _run(capsys, "gen", "tight", "--n", "5", "--output", str(inst_file))
     trace = _solve_trace(tmp_path, capsys, inst_file)
     assert trace["bagfill"], "the instance must reach bag filling"
+    return inst_file, trace
+
+
+def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeypatch):
+    inst_file, trace = _bag_filling_solve(tmp_path, capsys)
 
     # The irreducibility check finds a step where there is none.
     monkeypatch.setattr(pipeline, "apply_reduction",
                         lambda instance, alpha, values: (instance, None))
     doc = _exit_4_dump(capsys, inst_file)
     assert doc == {"reductions": trace["reductions"], "bagfill": []}
+
+
+def test_unpinned_shares_after_normalizing_exit_4(tmp_path, capsys, monkeypatch):
+    inst_file, trace = _bag_filling_solve(tmp_path, capsys)
+    real = pipeline.instance_mms_values
+
+    def doubled(*args, **kwargs):
+        return {a: 2 * v for a, v in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(pipeline, "instance_mms_values", doubled)
+    doc = _exit_4_dump(capsys, inst_file, "normalization did not pin")
+    assert doc == {"reductions": trace["reductions"], "bagfill": []}
+
+
+def test_bag_filling_out_of_goods_exits_4(tmp_path, capsys, monkeypatch):
+    inst_file, trace = _bag_filling_solve(tmp_path, capsys)
+    real = pipeline.run_bag_fill
+    monkeypatch.setattr(pipeline, "run_bag_fill", lambda *args: dataclasses.replace(
+        real(*args), bundles=None))
+    doc = _exit_4_dump(capsys, inst_file, "bag filling ran out of goods")
+    assert doc == trace
+
+
+def test_a_failed_final_check_exits_4(tmp_path, capsys, monkeypatch):
+    inst_file, trace = _bag_filling_solve(tmp_path, capsys)
+    real = pipeline.verify
+    monkeypatch.setattr(pipeline, "verify", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), passed=False))
+    doc = _exit_4_dump(capsys, inst_file, "final score")
+    assert doc == trace
 
 
 def test_short_split_stops_the_share_climb(tmp_path, capsys, monkeypatch):
@@ -397,6 +434,13 @@ def test_short_split_stops_the_share_climb(tmp_path, capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err == ("internal invariant violated: _covers at threshold 3 into 2 "
                    "parts returned the cell [], which sums to only 0\n")
+
+
+def test_gen_random_with_no_agents_exits_2(capsys):
+    code, out, err = _run(capsys, "gen", "random", "--n", "0", "--m", "3",
+                          "--bound", "5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "bad generator shape" in err
 
 
 def test_bench_rejects_unknown_suite(capsys):

@@ -222,6 +222,42 @@ def test_make_instance_rejects_what_it_cannot_build():
         mf.validate_instance(dataclasses.replace(inst, certificates=None))
 
 
+def test_make_instance_reads_a_set_of_goods_sorted():
+    names = [f"g{j}" for j in range(1, 12)]
+    inst = mf.make_instance(2, set(names), {a: {g: 1 for g in names} for a in (0, 1)})
+    assert inst.goods == tuple(sorted(names))
+    dummies = mf.make_instance(1, frozenset(), {0: {"d1": 0, "d2": 0}}, dummies={"d2", "d1"})
+    assert dummies.dummies == ("d1", "d2")
+    # a list keeps its order
+    assert mf.make_instance(1, ["g2", "g1"], {0: {"g1": 1, "g2": 1}}).goods == ("g2", "g1")
+
+
+def test_validate_instance_requires_ascending_int_agent_ids():
+    one = Fraction(1)
+    for agents in ((0, 0), (1, 0), (True,), (0, "1"), (0, 1.0)):
+        inst = mf.Instance(agents=agents, goods=("g1",), dummies=(),
+                           valuations={a: {"g1": one} for a in agents})
+        with pytest.raises(mf.ValidationError, match=r"^agents: "):
+            mf.validate_instance(inst)
+    mf.validate_instance(mf.Instance(agents=(2, 5), goods=("g1",), dummies=(),
+                                     valuations={2: {"g1": one}, 5: {"g1": one}}))
+
+
+def test_validate_instance_rejects_hand_built_rows_and_certificates():
+    one = Fraction(1)
+    missing = mf.Instance(agents=(0, 1), goods=("g1",), dummies=(),
+                          valuations={0: {"g1": one}})
+    with pytest.raises(mf.ValidationError, match=r"^valuations: missing row for agent 1$"):
+        mf.validate_instance(missing)
+    inexact = mf.Instance(agents=(0,), goods=("g1",), dummies=(), valuations={0: {"g1": 1}})
+    with pytest.raises(mf.ValidationError, match=r"^valuations\[0\]\[g1\]: not an exact rational$"):
+        mf.validate_instance(inexact)
+    stray = mf.Instance(agents=(0,), goods=("g1",), dummies=(), valuations={0: {"g1": one}},
+                        certificates={5: (frozenset({"g1"}),)})
+    with pytest.raises(mf.ValidationError, match=r"^certificates: unknown agent 5$"):
+        mf.validate_instance(stray)
+
+
 # Junk that may stand in for any part of an instance document; a fresh
 # copy each draw, since later edits may write into it.
 _JUNK = st.sampled_from([None, True, -1, 2.0, 10 ** 9, "x", "1/0", "1.5", "2/3",

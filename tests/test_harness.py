@@ -67,6 +67,16 @@ def test_gen_random_zero_bound_gives_all_zero():
     assert all(v == 0 for row in inst.valuations.values() for v in row.values())
 
 
+def test_gen_random_rejects_what_it_cannot_generate():
+    cases = [(dict(kind="x", n=2, m=3, value_bound=5), r"cannot generate kind 'x'"),
+             (dict(kind="uniform-int", n=0, m=3, value_bound=5), "bad generator shape: n=0, m=3"),
+             (dict(kind="uniform-rational", n=2, m=3, value_bound=0),
+              "bad value bound 0 for kind uniform-rational")]
+    for spec, message in cases:
+        with pytest.raises(mf.ContractError, match=message):
+            mf.gen_random(mf.GeneratorSpec(seed=1, **spec))
+
+
 def test_random_spec_id():
     spec = mf.GeneratorSpec(kind="uniform-int", n=2, m=4, value_bound=10, seed=7)
     assert spec.instance_id() == "uniform-int-n2-m4-b10-s7"

@@ -640,7 +640,7 @@ MALFORMED_VALUES = [
     ({"a": True, "b": 1}, ["a", "b"], "good 'a' is not an int or a Fraction"),
     ({"a": 1, "b": False}, ["a", "b"], "good 'b' is not an int or a Fraction"),
     ({"a": Fraction(1)}, ["a", "b"], "good 'b' missing from valuation"),
-    ({"a": Fraction(1), "b": Fraction(2)}, ["a", "b", "a"], "duplicate ids"),
+    ({"a": Fraction(1), "b": Fraction(2)}, ["a", "b", "a"], "good_set repeats id 'a'"),
 ]
 
 
@@ -649,6 +649,14 @@ def test_mms_rejects_malformed_values():
         for oracle_fn in (mf.mms, mf.mms_naive):
             with pytest.raises(mf.ValidationError, match=message):
                 oracle_fn(valuation, 2, goods)
+
+
+def test_mms_reads_its_good_set_as_instances_read_goods():
+    row = {"a": 3, "b": 2, 1: 1}
+    for oracle_fn in (mf.mms, mf.mms_naive):
+        for good_set in (["a", 1], {"a", 1}, iter(["a", "b"]), {"a": 1}):
+            with pytest.raises(mf.ValidationError, match=r"^good_set must be a list"):
+                oracle_fn(row, 2, good_set)
 
 
 def test_mms_takes_ints_and_fractions_alike():

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +149,33 @@ def test_all_zero_instance():
     assert report.peeled == (0, 1, 2)
     mf.validate_allocation(inst, report.allocation)
     assert report.score == 1
+    assert report.allocation[0] == frozenset(inst.goods)
+    # The goods go to the lowest id, so agents listed out of order are
+    # rejected rather than solved with another tie-break.
+    swapped = dataclasses.replace(inst, agents=(1, 0, 2))
+    with pytest.raises(mf.ValidationError, match=r"^agents: "):
+        mf.approx_mms(swapped, mf.alpha_for(3))
+
+
+def test_a_set_of_goods_solves_alike_under_any_hash_seed():
+    # A set's iteration order follows the string hash, which differs per
+    # process; make_instance reads it sorted, so the solve cannot.
+    child = ("import json, mmsfair as mf\n"
+             "names = [f'g{j}' for j in range(1, 8)]\n"
+             "inst = mf.make_instance(2, set(names), {0: {g: 1 for g in names},\n"
+             "    1: {g: 3 if g == 'g1' else 1 for g in names}})\n"
+             "report = mf.approx_mms(inst, mf.alpha_for(2))\n"
+             "print(json.dumps(report.to_json(inst)))\n")
+    src = str(Path(mf.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src,
+                                                   PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["allocation"]["0"] == ["g3", "g4", "g5"]
 
 
 def test_reduction_lift_bundles_meet_threshold_from_log():

@@ -1,5 +1,6 @@
 """Ordering, normalization, reduction rules, and both lift procedures."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -298,6 +299,16 @@ def test_normalize_rejects_a_partition_with_too_few_cells():
     shares = mf.instance_mms_all(inst)
     shares[1] = mf.MmsResult(Fraction(1), (frozenset({"g1"}), frozenset({"g2", "g3"})))
     with pytest.raises(mf.ValidationError, match=r"shares\[1\]\.partition: 2 cells, expected 3"):
+        mf.normalize(inst, shares)
+
+
+def test_normalize_rejects_a_share_its_partition_does_not_reach():
+    inst = mf.make_instance(2, ["g1", "g2", "g3", "g4"],
+                            {a: {"g1": 4, "g2": 3, "g3": 2, "g4": 1} for a in range(2)})
+    shares = {a: dataclasses.replace(r, value=r.value / 2)
+              for a, r in mf.instance_mms_all(inst).items()}
+    with pytest.raises(mf.ContractError,
+                       match=r"^agent 0: maximin partition's smallest cell is 5, not the share 5/2$"):
         mf.normalize(inst, shares)
 
 
