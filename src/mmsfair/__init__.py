@@ -41,7 +41,6 @@ from .oracle import (
     instance_mms_all,
     instance_mms_values,
     mms,
-    mms_naive,
 )
 from .pipeline import AlphaChoice, SolveReport, alpha_for, approx_mms
 from .transforms import (
@@ -55,7 +54,6 @@ from .transforms import (
     lift_reductions,
     normalize,
     reduce,
-    replay_log,
     rule_bundle,
     rule_target,
     to_ordered,
@@ -102,11 +100,9 @@ __all__ = [
     "lift_reductions",
     "make_instance",
     "mms",
-    "mms_naive",
     "normalize",
     "parse_value",
     "reduce",
-    "replay_log",
     "rule_bundle",
     "rule_target",
     "run_bag_fill",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Value, format_value, parse_field, validate_allocation
+from .core import Instance, Value, check_agents, format_value, parse_field, validate_allocation
 from .errors import ContractError
 from .transforms import is_ordered
 
@@ -58,8 +58,10 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
     """Bag filling with a full event trace (see module docstring).
 
     ``alpha`` is read by ``parse_field``, so a negative, float or bool one
-    raises ValidationError naming ``alpha``.
+    raises ValidationError naming ``alpha``, as do agents out of the order
+    ``check_agents`` requires, naming ``agents``.
     """
+    check_agents(instance)
     alpha = parse_field(alpha, "alpha")
     if not is_ordered(instance):
         raise ContractError("bag filling requires an ordered instance")
@@ -115,8 +117,10 @@ def complete_allocation(instance: Instance, bundles: dict) -> dict:
 
     Ties go to the lowest agent id.  ``bundles`` must give every agent a
     bundle; nobody's value decreases.  The result is validated, so bundles
-    that share a good or hold a dummy or unknown id raise ValidationError.
+    that share a good or hold a dummy or unknown id raise ValidationError,
+    as do agents out of the order ``check_agents`` requires.
     """
+    check_agents(instance)
     if set(bundles) != set(instance.agents):
         raise ContractError("bag bundles must cover every agent")
     completed = {a: set(bundles[a]) for a in instance.agents}

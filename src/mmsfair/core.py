@@ -305,14 +305,24 @@ def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable
     return values.pop()
 
 
+def check_agents(instance: Instance) -> None:
+    """Check that the agent ids are ints (not bools) in strictly ascending
+    order, the order every tie is broken by; any other raises
+    ValidationError naming ``agents``."""
+    agents = instance.agents
+    if not (all(type(a) is int for a in agents)
+            and all(a < b for a, b in zip(agents, agents[1:]))):
+        raise ValidationError(f"agents: ids must be ascending ints, got {list(agents)}")
+
+
 def validate_instance(instance: Instance) -> None:
     """Check all structural invariants; raise ValidationError naming the field.
 
-    Verified: string good ids, unique across goods and dummies, int
-    agent ids (not bools) in strictly ascending order, no row or
-    certificate for an unknown agent, a complete valuation row per agent
-    (no missing or extra goods), non-negative values throughout, and a
-    certificates mapping checked by ``certificate_value``.
+    Verified: string good ids, unique across goods and dummies, the agent
+    order (``check_agents``), no row or certificate for an unknown agent,
+    a complete valuation row per agent (no missing or extra goods),
+    non-negative values throughout, and a certificates mapping checked by
+    ``certificate_value``.
     """
     seen = set()
     for g in instance.all_goods:
@@ -321,11 +331,8 @@ def validate_instance(instance: Instance) -> None:
         if g in seen:
             raise ValidationError(f"duplicate good id {g!r}")
         seen.add(g)
-    agents = instance.agents
-    if not (all(type(a) is int for a in agents)
-            and all(a < b for a, b in zip(agents, agents[1:]))):
-        raise ValidationError(f"agents: ids must be ascending ints, got {list(agents)}")
-    extra = set(instance.valuations) - set(agents)
+    check_agents(instance)
+    extra = set(instance.valuations) - set(instance.agents)
     if extra:
         raise ValidationError(f"valuations: unknown agents {sorted(map(str, extra))}")
     expected = set(instance.all_goods)

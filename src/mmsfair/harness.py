@@ -49,13 +49,21 @@ class GeneratorSpec:
         return f"{self.kind}-n{self.n}-m{self.m}-b{self.value_bound}-s{self.seed}"
 
 
+def _check_int(value, field: str) -> None:
+    """Reject a generator field that is not an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractError(f"{field} must be an int, got {value!r}")
+
+
 def gen_tight_example(n: int) -> Instance:
     """The worst-case identical-valuation instance with 3n-1 goods.
 
     Good j is worth (2n-1 - floor((j-1)/2)) / (4n-2) for j <= 2n and
     n/(4n-2) beyond; all agents agree.  Carries the equal-valued
     partition certificate, so each agent's maximin share is exactly 1.
+    An ``n`` that is not an int of at least 2 raises ContractError.
     """
+    _check_int(n, "n")
     if n < 2:
         raise ContractError(f"tight example needs n >= 2, got {n}")
     denom = 4 * n - 2
@@ -80,9 +88,13 @@ def gen_random(spec: GeneratorSpec) -> Instance:
     uniform-int draws values in [0, bound]; uniform-rational draws p/q
     with p in [0, bound] and q in [1, bound].  Draws go agent by agent,
     good by good, so the same spec always yields the same instance.
+    A spec it cannot generate, or whose ``n``, ``m`` or ``value_bound`` is
+    not an int, raises ContractError.
     """
     if spec.kind not in ("uniform-int", "uniform-rational"):
         raise ContractError(f"gen_random cannot generate kind {spec.kind!r}")
+    for field in ("n", "m", "value_bound"):
+        _check_int(getattr(spec, field), field)
     if spec.n < 1 or spec.m < 0:
         raise ContractError(f"bad generator shape: n={spec.n}, m={spec.m}")
     bound = spec.value_bound

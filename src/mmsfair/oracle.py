@@ -6,32 +6,24 @@ agent's valuation.  Computing it is NP-hard, so this module provides an
 exhaustive search that is exact at desk scale, guarded by an explicit
 limit on the good count alone that errors instead of approximating.
 
-Two independent routes are provided:
+One search route is provided, ``mms``: values are scaled to integers
+with integer arithmetic only (each numerator times the lcm of the
+denominators over its own denominator), and the value is found by
+climbing from a local-search floor (the greedy LPT packing, improved by
+moving or swapping items out of its emptiest cell).  Each probe asks
+``_covers`` for one more than the floor, and each split it returns is
+polished by the same local search: its raised minimum cell is the next
+floor.  So thresholds strictly rise, and only the probe that proves the
+optimum fails.  ``_covers`` is a bin-completion search: it fills one cell
+at a time, opened by the largest weight left and completed by smaller
+ones, with a value bound, a cell-size bound and a table of failed states
+that every probe of one climb shares.  The climb builds no witness: the
+partition is ``_covers``'s split at the optimum with a fresh memo, run on
+the partition's first read, so a caller that reads only values (rule
+targets, verification) never pays for it.  The independent routes that
+cross-check it live in the tests.
 
-* ``mms``       -- the production search: values are scaled to integers
-                   with integer arithmetic only (each numerator times the
-                   lcm of the denominators over its own denominator), and
-                   the value is found by climbing from a local-search
-                   floor (the greedy LPT packing, improved by moving or
-                   swapping items out of its emptiest cell).  Each probe
-                   asks ``_covers`` for one more than the floor, and each
-                   split it returns is polished by the same local search:
-                   its raised minimum cell is the next floor.  So
-                   thresholds strictly rise, and only the probe that
-                   proves the optimum fails.
-                   ``_covers`` is a bin-completion search: it fills one
-                   cell at a time, opened by the largest weight left and
-                   completed by smaller ones, with a value bound, a
-                   cell-size bound and a table of failed states that every
-                   probe of one climb shares.  The climb builds no
-                   witness: the partition is ``_covers``'s split at the
-                   optimum with a fresh memo, run on the partition's first
-                   read, so a caller that reads only values (rule targets,
-                   verification) never pays for it.
-* ``mms_naive`` -- a deliberately dumb cross-check that enumerates every
-                   assignment of goods to cells, used to test ``mms``.
-
-A third route skips search entirely: a *certificate* is a partition into
+A *certificate* skips search entirely: it is a partition into
 equal-valued cells.  If all k cells have the same value c, the maximin
 share is exactly c (it is at least the min cell, and at most total/k = c),
 so large certified instances stay exact without search.
@@ -44,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .core import Instance, Value, _ids, certificate_cells, certificate_value, scaled_ratios
@@ -410,34 +401,6 @@ def mms(
     except RecursionError:
         raise _out_of_stack(len(goods)) from None
     return MmsResult(Fraction(raw, denom), witness)
-
-
-def mms_naive(valuation: Mapping, parts: int, good_set: Iterable) -> MmsResult:
-    """Independent oracle: try every assignment of goods to cells.
-
-    No memoization, no pruning; limited to 10 goods and 4 parts.  Exists
-    solely to cross-check ``mms``, and reads its good set and checks its
-    values as ``mms`` does.
-    """
-    _check_parts(parts)
-    goods = _ids(good_set, "good_set")
-    if len(goods) > 10 or parts > 4:
-        raise CapacityError("mms_naive is limited to 10 goods / 4 parts")
-    weights, denom = scaled_ratios(_checked_ratios(valuation, goods))
-    best = -1
-    for assign in product(range(parts), repeat=len(goods)):
-        sums = [0] * parts
-        for i, cell in enumerate(assign):
-            sums[cell] += weights[i]
-        low = min(sums)
-        if low > best:
-            best = low
-            best_assign = assign
-    cells = [set() for _ in range(parts)]
-    for i, cell in enumerate(best_assign):
-        cells[cell].add(goods[i])
-    return MmsResult(value=Fraction(best, denom),
-                     partition=tuple(frozenset(c) for c in cells))
 
 
 def instance_mms_all(

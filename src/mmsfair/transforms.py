@@ -32,6 +32,7 @@ from .core import (
     Value,
     ZERO,
     bundle_value,
+    check_agents,
     check_shares,
     format_value,
     fresh_id,
@@ -253,9 +254,11 @@ def rule_target(instance: Instance, alpha: Value, k: int,
     ``mms_values`` must be keyed by exactly the instance's agents
     (``check_shares``); any other table raises ContractError.  Its values
     are compared as given: ``apply_reduction`` reads them through
-    ``parse_field`` first.  Returns None when no agent qualifies (the
-    instance is rule-k irreducible at this threshold).
+    ``parse_field`` first.  Agents out of the order ``check_agents``
+    requires raise ValidationError.  Returns None when no agent qualifies
+    (the instance is rule-k irreducible at this threshold).
     """
+    check_agents(instance)
     check_shares(instance, mms_values, "mms_values")
     goods = rule_bundle(instance, k)
     for a in instance.agents:
@@ -389,20 +392,6 @@ def reduce(
                                           final=current), None))
     return ReductionLog(records=tuple(records), initial=instance, final=current,
                         shares=shares if current.n > 1 else None)
-
-
-def replay_log(log: ReductionLog) -> list:
-    """Reconstruct every intermediate instance from the log's records.
-
-    Each step is the ``Instance.without`` call ``apply_reduction`` made.
-    Returns [initial, after record 1, ..., final'].  The last element must
-    equal the log's final instance; used for audit and validity checks.
-    """
-    instances = [log.initial]
-    for rec in log.records:
-        instances.append(instances[-1].without(
-            agents=(rec.agent,), goods=rec.removed_goods, dummy=rec.dummy_created))
-    return instances
 
 
 def lift_reductions(log: ReductionLog, sub_alloc: dict) -> dict:

@@ -6,9 +6,12 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import mmsfair as mf
+from mmsfair.core import _ids, scaled_ratios
+from mmsfair.oracle import _check_parts, _checked_ratios
 
 
 def random_instance(seed, n, m, bound=20, min_value=0, rational=False) -> mf.Instance:
@@ -27,12 +30,62 @@ def random_instance(seed, n, m, bound=20, min_value=0, rational=False) -> mf.Ins
     return mf.make_instance(n, goods, vals)
 
 
+def mms_naive(valuation, parts, good_set) -> mf.MmsResult:
+    """Independent oracle: try every assignment of goods to cells.
+
+    No memoization, no pruning; limited to 10 goods and 4 parts.  Exists
+    solely to cross-check ``mf.mms``, and reads its good set and checks its
+    values through the package's own readers, as ``mf.mms`` does.
+    """
+    _check_parts(parts)
+    goods = _ids(good_set, "good_set")
+    if len(goods) > 10 or parts > 4:
+        raise mf.CapacityError("mms_naive is limited to 10 goods / 4 parts")
+    weights, denom = scaled_ratios(_checked_ratios(valuation, goods))
+    best = -1
+    for assign in product(range(parts), repeat=len(goods)):
+        sums = [0] * parts
+        for i, cell in enumerate(assign):
+            sums[cell] += weights[i]
+        low = min(sums)
+        if low > best:
+            best = low
+            best_assign = assign
+    cells = [set() for _ in range(parts)]
+    for i, cell in enumerate(best_assign):
+        cells[cell].add(goods[i])
+    return mf.MmsResult(value=Fraction(best, denom),
+                        partition=tuple(frozenset(c) for c in cells))
+
+
+def replay_log(log: mf.ReductionLog) -> list:
+    """Reconstruct every intermediate instance from the log's records.
+
+    Each step is the ``Instance.without`` call ``apply_reduction`` made.
+    Returns [initial, after record 1, ..., final'].  The last element must
+    equal the log's final instance.
+    """
+    instances = [log.initial]
+    for rec in log.records:
+        instances.append(instances[-1].without(
+            agents=(rec.agent,), goods=rec.removed_goods, dummy=rec.dummy_created))
+    return instances
+
+
 def random_complete_allocation(rng: random.Random, instance: mf.Instance) -> dict:
     """Assign every real good to a uniformly random agent."""
     bundles = {a: set() for a in instance.agents}
     for g in instance.goods:
         bundles[rng.choice(instance.agents)].add(g)
     return {a: frozenset(b) for a, b in bundles.items()}
+
+
+def equal_rows_instance(agents, m) -> mf.Instance:
+    """A hand-built, unvalidated instance whose agents, listed as given,
+    all value goods g1..gm at 1."""
+    goods = tuple(f"g{j}" for j in range(1, m + 1))
+    return mf.Instance(agents=agents, goods=goods, dummies=(),
+                       valuations={a: dict.fromkeys(goods, Fraction(1)) for a in agents})
 
 
 def rule4_dummy_instance() -> mf.Instance:

@@ -14,7 +14,7 @@ import pytest
 
 import mmsfair as mf
 
-from helpers import random_complete_allocation, random_instance
+from helpers import mms_naive, random_complete_allocation, random_instance, replay_log
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -134,7 +134,7 @@ def test_criterion_4_reduction_validity(suite3):
     checked = 0
     for spec, _inst, choice, report in runs:
         log = report.reduction_log
-        replayed = mf.replay_log(log)
+        replayed = replay_log(log)
         if replayed[-1] != log.final:
             violations.append((spec.instance_id(), "replay mismatch"))
             continue
@@ -221,7 +221,7 @@ def test_criterion_6_oracle_equivalence():
             for parts in (1, 2, 3):
                 checked += 1
                 fast = mf.mms(vals, parts, goods)
-                slow = mf.mms_naive(vals, parts, goods)
+                slow = mms_naive(vals, parts, goods)
                 if fast.value != slow.value:
                     mismatches.append((values, parts, fast.value, slow.value))
     # plus 200 random instances with n <= 3 agents and m <= 8 goods
@@ -235,7 +235,7 @@ def test_criterion_6_oracle_equivalence():
         for a in inst.agents:
             checked += 1
             fast = mf.mms(inst.valuations[a], n, inst.goods)
-            slow = mf.mms_naive(inst.valuations[a], n, inst.goods)
+            slow = mms_naive(inst.valuations[a], n, inst.goods)
             if fast.value != slow.value:
                 mismatches.append((20_000 + i, a, fast.value, slow.value))
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,7 @@ import pytest
 
 import mmsfair as mf
 
-from helpers import random_instance
+from helpers import equal_rows_instance, random_instance
 
 TAU3 = Fraction(8, 10)  # every initial bag's value on the 3-agent tight example
 
@@ -55,6 +55,16 @@ def test_contract_errors():
 def test_alpha_is_read_as_an_exact_rational():
     with pytest.raises(mf.ValidationError, match="^alpha: "):
         mf.run_bag_fill(mf.gen_tight_example(3), 0.5)
+
+
+def test_bag_filling_rejects_agents_out_of_order():
+    # The lowest id takes the lowest bag; agents listed out of order are
+    # rejected, not served in listed order.
+    run = mf.run_bag_fill(equal_rows_instance((0, 1), 4), Fraction(1, 2))
+    assert run.assignments == {0: 1, 1: 2}
+    with pytest.raises(mf.ValidationError,
+                       match=r"^agents: ids must be ascending ints, got \[1, 0\]$"):
+        mf.run_bag_fill(equal_rows_instance((1, 0), 4), Fraction(1, 2))
 
 
 def test_dummies_never_enter_bags():
@@ -137,6 +147,16 @@ def test_complete_allocation_prefers_highest_valuing_agent():
                              1: {"g1": 5, "g2": 1, "g3": 9}})
     completed = mf.complete_allocation(inst, {0: frozenset({"g1"}), 1: frozenset({"g2"})})
     assert "g3" in completed[1]
+
+
+def test_complete_allocation_rejects_agents_out_of_order():
+    # A tie for a leftover good goes to the lowest id, so agents listed out
+    # of order are rejected.
+    empty = {0: frozenset(), 1: frozenset()}
+    assert mf.complete_allocation(equal_rows_instance((0, 1), 1), empty)[0] == {"g1"}
+    with pytest.raises(mf.ValidationError,
+                       match=r"^agents: ids must be ascending ints, got \[1, 0\]$"):
+        mf.complete_allocation(equal_rows_instance((1, 0), 1), empty)
 
 
 def test_complete_allocation_requires_bundles_for_everyone():

@@ -386,6 +386,24 @@ def test_reducible_instance_before_bag_filling_exits_4(tmp_path, capsys, monkeyp
     assert doc == {"reductions": trace["reductions"], "bagfill": []}
 
 
+def test_too_few_goods_for_bag_filling_exits_4(tmp_path, capsys, monkeypatch):
+    # Two agents with positive shares and 3 < 2n goods: reduce would take
+    # an agent, so it is made to hand the instance back unreduced.
+    inst_file = tmp_path / "inst.json"
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 2, "g2": 1, "g3": 1} for a in range(2)})
+    inst_file.write_text(json.dumps(mf.instance_to_json(inst)))
+    monkeypatch.setattr(pipeline, "reduce", lambda instance, alpha, shares, max_goods:
+                        mf.ReductionLog(records=(), initial=instance, final=instance,
+                                        shares=shares))
+    monkeypatch.setattr(pipeline, "apply_reduction", lambda instance, alpha, values: None)
+    code, out, err = _run(capsys, "solve", "--input", str(inst_file))
+    assert code == 4 and out == "", err
+    message, _, dump = err.partition("\n")
+    assert message == "internal invariant violated: only 3 goods remain for 2 bags", err
+    assert json.loads(dump) == {"reductions": [], "bagfill": []}
+
+
 def test_unpinned_shares_after_normalizing_exit_4(tmp_path, capsys, monkeypatch):
     inst_file, trace = _bag_filling_solve(tmp_path, capsys)
     real = pipeline.instance_mms_values

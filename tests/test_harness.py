@@ -9,7 +9,7 @@ import pytest
 
 import mmsfair as mf
 
-from helpers import random_complete_allocation, random_instance
+from helpers import mms_naive, random_complete_allocation, random_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,6 +36,10 @@ def test_tight_example_certificate_cells_sum_to_one():
 def test_tight_example_rejects_small_n():
     with pytest.raises(mf.ContractError):
         mf.gen_tight_example(1)
+    # A count that is not an int is a caller's error, not a bare TypeError.
+    for n in (2.0, "3", True, None):
+        with pytest.raises(mf.ContractError, match=r"^n must be an int, got "):
+            mf.gen_tight_example(n)
 
 
 def test_gen_random_is_deterministic():
@@ -71,7 +75,17 @@ def test_gen_random_rejects_what_it_cannot_generate():
     cases = [(dict(kind="x", n=2, m=3, value_bound=5), r"cannot generate kind 'x'"),
              (dict(kind="uniform-int", n=0, m=3, value_bound=5), "bad generator shape: n=0, m=3"),
              (dict(kind="uniform-rational", n=2, m=3, value_bound=0),
-              "bad value bound 0 for kind uniform-rational")]
+              "bad value bound 0 for kind uniform-rational"),
+             # Fields that are not ints: not a bare TypeError or ValueError.
+             (dict(kind="uniform-int", n=2, m=3, value_bound=5.5),
+              r"^value_bound must be an int, got 5\.5$"),
+             (dict(kind="uniform-rational", n=2, m=3, value_bound=True),
+              r"^value_bound must be an int, got True$"),
+             (dict(kind="uniform-int", n=2.0, m=3, value_bound=5), r"^n must be an int, got 2\.0$"),
+             (dict(kind="uniform-int", n="2", m=3, value_bound=5), r"^n must be an int, got '2'$"),
+             (dict(kind="uniform-int", n=2, m=3.0, value_bound=5), r"^m must be an int, got 3\.0$"),
+             (dict(kind="uniform-int", n=2, m=False, value_bound=5),
+              r"^m must be an int, got False$")]
     for spec, message in cases:
         with pytest.raises(mf.ContractError, match=message):
             mf.gen_random(mf.GeneratorSpec(seed=1, **spec))
@@ -120,7 +134,7 @@ def test_verify_scores_against_given_shares():
     for seed in range(10):
         inst = random_instance(seed, 2, 6, bound=9)
         alloc = random_complete_allocation(rng, inst)
-        naive_vals = {a: mf.mms_naive(inst.valuations[a], 2, inst.goods).value
+        naive_vals = {a: mms_naive(inst.valuations[a], 2, inst.goods).value
                       for a in inst.agents}
         given = mf.verify(inst, alloc, Fraction(3, 4), mms_values=naive_vals)
         assert given == mf.verify(inst, alloc, Fraction(3, 4))

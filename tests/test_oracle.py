@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import mmsfair as mf
 from mmsfair import core, oracle
 
-from helpers import freeze_golden, random_complete_allocation, random_instance
+from helpers import freeze_golden, mms_naive, random_complete_allocation, random_instance
 
 
 def _vals(numbers):
@@ -55,9 +55,9 @@ def test_tight_example_oracle_value_one():
 
 def test_naive_single_part_and_unit_cases():
     vals = _vals([1, 1, 1])
-    assert mf.mms_naive(vals, 1, list(vals)).value == 3
-    assert mf.mms_naive(vals, 2, list(vals)).value == 1
-    assert mf.mms_naive(vals, 3, list(vals)).value == 1
+    assert mms_naive(vals, 1, list(vals)).value == 3
+    assert mms_naive(vals, 2, list(vals)).value == 1
+    assert mms_naive(vals, 3, list(vals)).value == 1
 
 
 def test_fewer_goods_than_parts_gives_zero_with_empty_cells(monkeypatch):
@@ -74,7 +74,7 @@ def test_fewer_goods_than_parts_gives_zero_with_empty_cells(monkeypatch):
     assert probes[1:] == [(0, [[0, 1], [], []], set())]
     assert probes[1][2] is not climb_memo
     _check_witness(vals, 3, r)
-    for empty in (mf.mms({}, 2, []), mf.mms_naive({}, 2, [])):
+    for empty in (mf.mms({}, 2, []), mms_naive({}, 2, [])):
         assert empty.value == 0
         assert empty.partition == (frozenset(), frozenset())
 
@@ -86,7 +86,7 @@ def test_oracle_matches_naive_on_random_smoke():
         parts = rng.randint(1, 3)
         vals = {f"g{i}": Fraction(rng.randint(0, 12)) for i in range(1, m + 1)}
         fast = mf.mms(vals, parts, list(vals))
-        slow = mf.mms_naive(vals, parts, list(vals))
+        slow = mms_naive(vals, parts, list(vals))
         assert fast.value == slow.value, (vals, parts)
         _check_witness(vals, parts, fast)
         _check_witness(vals, parts, slow)
@@ -100,7 +100,7 @@ def test_oracle_matches_naive_on_rationals():
         vals = {f"g{i}": Fraction(rng.randint(0, 8), rng.randint(1, 8))
                 for i in range(1, m + 1)}
         assert mf.mms(vals, parts, list(vals)).value == \
-            mf.mms_naive(vals, parts, list(vals)).value
+            mms_naive(vals, parts, list(vals)).value
 
 
 def test_monotone_in_goods_and_parts():
@@ -138,7 +138,7 @@ def test_mms_rejects_parts_and_max_goods_that_are_not_ints():
     # max_goods=True once read as a limit of 1 good.
     vals = {"a": 1, "b": 2}
     for parts in (2.0, "2", None, True, 0):
-        for oracle_fn in (mf.mms, mf.mms_naive):
+        for oracle_fn in (mf.mms, mms_naive):
             with pytest.raises(mf.ContractError, match="parts"):
                 oracle_fn(vals, parts, ["a", "b"])
     for max_goods in (None, True, 20.5, "20", -1):
@@ -159,9 +159,9 @@ def test_capacity_errors(monkeypatch):
     r = mf.mms(vals, 2, list(vals), max_goods=25)
     assert r.value == 12
     with pytest.raises(mf.CapacityError):
-        mf.mms_naive(vals, 2, list(vals))
+        mms_naive(vals, 2, list(vals))
     with pytest.raises(mf.CapacityError):
-        mf.mms_naive(small, 5, list(small))
+        mms_naive(small, 5, list(small))
     with pytest.raises(mf.ValidationError, match="max_goods"):
         mf.mms({}, 2, [], max_goods=-1)
     # a certificate skips the search, not the sign check
@@ -646,14 +646,14 @@ MALFORMED_VALUES = [
 
 def test_mms_rejects_malformed_values():
     for valuation, goods, message in MALFORMED_VALUES:
-        for oracle_fn in (mf.mms, mf.mms_naive):
+        for oracle_fn in (mf.mms, mms_naive):
             with pytest.raises(mf.ValidationError, match=message):
                 oracle_fn(valuation, 2, goods)
 
 
 def test_mms_reads_its_good_set_as_instances_read_goods():
     row = {"a": 3, "b": 2, 1: 1}
-    for oracle_fn in (mf.mms, mf.mms_naive):
+    for oracle_fn in (mf.mms, mms_naive):
         for good_set in (["a", 1], {"a", 1}, iter(["a", "b"]), {"a": 1}):
             with pytest.raises(mf.ValidationError, match=r"^good_set must be a list"):
                 oracle_fn(row, 2, good_set)
@@ -668,7 +668,7 @@ def test_mms_takes_ints_and_fractions_alike():
     for mixed in rows:
         exact = {g: Fraction(v) for g, v in mixed.items()}
         for parts in (2, 3, 4):
-            for oracle_fn in (mf.mms, mf.mms_naive):
+            for oracle_fn in (mf.mms, mms_naive):
                 got = oracle_fn(mixed, parts, list(mixed))
                 want = oracle_fn(exact, parts, list(exact))
                 assert (got.value, got.partition) == (want.value, want.partition)
@@ -699,7 +699,7 @@ def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
     assert sorted(w for cell in cells for w in cell) == sorted(desc)
     assert min(map(sum, cells)) == low
     vals = _vals(desc)
-    assert lpt <= low <= mf.mms_naive(vals, parts, list(vals)).value
+    assert lpt <= low <= mms_naive(vals, parts, list(vals)).value
 
 
 @settings(max_examples=100)
@@ -709,7 +709,7 @@ def test_raise_min_lies_between_lpt_and_the_share(weights, parts):
 def test_mms_matches_naive_on_wide_rationals(values, parts):
     vals = _vals(values)
     fast = mf.mms(vals, parts, list(vals))
-    assert fast.value == mf.mms_naive(vals, parts, list(vals)).value
+    assert fast.value == mms_naive(vals, parts, list(vals)).value
     _check_witness(vals, parts, fast)
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 
-from helpers import freeze_golden, random_instance
+from helpers import freeze_golden, random_instance, replay_log
 
 
 def test_alpha_for_improved_small_n():
@@ -185,7 +185,7 @@ def test_reduction_lift_bundles_meet_threshold_from_log():
         inst = random_instance(seed, 4, 11, bound=60, min_value=1)
         choice = mf.alpha_for(4)
         report = mf.approx_mms(inst, choice)
-        replayed = mf.replay_log(report.reduction_log)
+        replayed = replay_log(report.reduction_log)
         for step, record in zip(replayed, report.reduction_log.records):
             given = mf.bundle_value(step, record.agent, record.removed_goods)
             assert given >= choice.alpha * record.pre_mms[record.agent]
@@ -232,7 +232,7 @@ def test_every_reduction_is_valid(inst):
     # share at that step, and no survivor's share drops; shares searched afresh
     choice = mf.alpha_for(inst.n)
     log = mf.approx_mms(inst, choice).reduction_log
-    replayed = mf.replay_log(log)
+    replayed = replay_log(log)
     assert replayed[-1] == log.final
     shares = [mf.instance_mms_values(step) for step in replayed]
     for i, record in enumerate(log.records):

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
 
-from helpers import random_complete_allocation, random_instance, rule4_dummy_instance
+from helpers import (
+    equal_rows_instance,
+    random_complete_allocation,
+    random_instance,
+    replay_log,
+    rule4_dummy_instance,
+)
 
 ALPHA34 = Fraction(3, 4)
 
@@ -331,6 +337,16 @@ def test_rule_target_tight_example():
     assert mf.rule_target(inst, ALPHA34, 1, values) is None
 
 
+def test_rule_target_rejects_agents_out_of_order():
+    # The target is the lowest id that qualifies, so agents listed out of
+    # order are rejected.
+    shares = {0: Fraction(1), 1: Fraction(1)}
+    assert mf.rule_target(equal_rows_instance((0, 1), 3), ALPHA34, 1, shares) == 0
+    with pytest.raises(mf.ValidationError,
+                       match=r"^agents: ids must be ascending ints, got \[1, 0\]$"):
+        mf.rule_target(equal_rows_instance((1, 0), 3), ALPHA34, 1, shares)
+
+
 def test_rule_target_rejects_a_share_table_missing_an_agent():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
@@ -526,7 +542,7 @@ def test_reduce_log_shorter_than_agent_count_and_replayable():
         ordered, _ = mf.to_ordered(inst)
         log = mf.reduce(ordered, ALPHA34, mf.instance_mms_all(ordered))
         assert len(log.records) < ordered.n
-        replayed = mf.replay_log(log)
+        replayed = replay_log(log)
         assert replayed[-1] == log.final
 
 
