@@ -16,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Instance, Value, check_agents, format_value, parse_field, validate_allocation
+from .core import (
+    Instance,
+    Value,
+    check_agents,
+    check_shares,
+    format_value,
+    parse_field,
+    validate_allocation,
+)
 from .errors import ContractError
 from .transforms import is_ordered
 
@@ -115,14 +123,14 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
 def complete_allocation(instance: Instance, bundles: dict) -> dict:
     """Hand each leftover real good to the agent who values it most.
 
-    Ties go to the lowest agent id.  ``bundles`` must give every agent a
-    bundle; nobody's value decreases.  The result is validated, so bundles
+    Ties go to the lowest agent id.  ``bundles`` must be keyed by exactly
+    the instance's agents (``check_shares``, ContractError); nobody's
+    value decreases.  The result is validated, so bundles
     that share a good or hold a dummy or unknown id raise ValidationError,
     as do agents out of the order ``check_agents`` requires.
     """
     check_agents(instance)
-    if set(bundles) != set(instance.agents):
-        raise ContractError("bag bundles must cover every agent")
+    check_shares(instance, bundles, "bundles")
     completed = {a: set(bundles[a]) for a in instance.agents}
     taken = set().union(*bundles.values())
     for g in instance.goods:

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .core import (
     allocation_from_json,
+    check_count,
     format_value,
     instance_from_json,
     instance_to_json,
@@ -125,8 +126,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.suite != "random":
         raise ValidationError(f"unknown suite {args.suite!r}")
-    if args.count < 1:
-        raise ValidationError(f"--count must be at least 1, got {args.count}")
+    check_count(args.count, "--count", 1, ValidationError)
     grid = [(n, m) for n in (2, 3, 4) for m in range(n, 13)]
 
     # approx_mms scores its allocation through verify against the oracle's
@@ -224,8 +224,8 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        if getattr(args, "max_goods", 0) < 0:  # gen has no --max-goods
-            raise ValidationError(f"--max-goods must be at least 0, got {args.max_goods}")
+        # gen has no --max-goods
+        check_count(getattr(args, "max_goods", 0), "--max-goods", 0, ValidationError)
         return args.func(args)
     except (ValidationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)

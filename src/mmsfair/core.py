@@ -176,12 +176,28 @@ class Instance:
         the existing dummies.  With nothing to drop and no dummy the
         instance itself is returned, certificates included.  Any other
         call returns a new instance without certificates, since they pin
-        a partition of all goods into n cells.
+        a partition of all goods into n cells.  An agent or real good the
+        instance does not hold, a dummy id it already holds, or dummy
+        values not keyed by exactly the survivors raise ContractError
+        naming the ids.
         """
         agents, goods = set(agents), set(goods)
         if not agents and not goods and dummy is None:
             return self
+        unknown = agents.difference(self.agents)
+        if unknown:
+            raise ContractError(f"without: unknown agents {sorted(map(str, unknown))}")
+        unknown = goods.difference(self.goods)
+        if unknown:
+            raise ContractError(f"without: not real goods {sorted(map(str, unknown))}")
         survivors = tuple(a for a in self.agents if a not in agents)
+        if dummy is not None:
+            if dummy[0] in self.good_position:
+                raise ContractError(f"without: dummy id {dummy[0]!r} is taken")
+            if dummy[1].keys() != set(survivors):
+                raise ContractError(
+                    f"without: dummy values given for agents {sorted(map(str, dummy[1]))}, "
+                    f"but the survivors are {list(survivors)}")
         valuations = {}
         for a in survivors:
             row = {g: v for g, v in self.valuations[a].items() if g not in goods}
@@ -236,8 +252,7 @@ def make_instance(
     anything is built, so a huge count costs nothing.
     ``validate_instance`` checks the rest.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValidationError(f"agents: must be a non-negative count, got {n!r}")
+    check_count(n, "agents", 0, ValidationError)
     goods, dummies = _ids(goods, "goods"), _ids(dummies, "dummies")
     if not isinstance(valuations, Mapping):
         raise ValidationError(f"valuations: must be a mapping, got {type(valuations).__name__}")
@@ -305,6 +320,15 @@ def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable
     return values.pop()
 
 
+def check_count(value, field: str, least: int, error: type) -> None:
+    """Check that a count is an int (not a bool) of at least ``least``;
+    anything else raises ``error`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{field} must be an int, got {value!r}")
+    if value < least:
+        raise error(f"{field} must be at least {least}, got {value}")
+
+
 def check_agents(instance: Instance) -> None:
     """Check that the agent ids are ints (not bools) in strictly ascending
     order, the order every tie is broken by; any other raises
@@ -362,12 +386,13 @@ def validate_instance(instance: Instance) -> None:
                           f"certificates[{a}]")
 
 
-def check_shares(instance: Instance, shares: Mapping, field: str) -> None:
-    """Check that a share table is keyed by exactly the instance's agents;
-    any other raises ContractError naming ``field``."""
-    if set(shares) != set(instance.agents):
+def check_shares(instance: Instance, table: Mapping, field: str) -> None:
+    """Check that an agent-keyed table (shares, bundles) is keyed by
+    exactly the instance's agents; any other raises ContractError naming
+    ``field``."""
+    if set(table) != set(instance.agents):
         raise ContractError(
-            f"{field}: shares are given for agents {sorted(map(str, shares))}, "
+            f"{field}: given for agents {sorted(map(str, table))}, "
             f"but the instance has agents {list(instance.agents)}")
 
 

@@ -25,6 +25,7 @@ from .core import (
     Instance,
     Value,
     bundle_value,
+    check_count,
     check_shares,
     format_value,
     make_instance,
@@ -49,12 +50,6 @@ class GeneratorSpec:
         return f"{self.kind}-n{self.n}-m{self.m}-b{self.value_bound}-s{self.seed}"
 
 
-def _check_int(value, field: str) -> None:
-    """Reject a generator field that is not an int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ContractError(f"{field} must be an int, got {value!r}")
-
-
 def gen_tight_example(n: int) -> Instance:
     """The worst-case identical-valuation instance with 3n-1 goods.
 
@@ -63,9 +58,7 @@ def gen_tight_example(n: int) -> Instance:
     partition certificate, so each agent's maximin share is exactly 1.
     An ``n`` that is not an int of at least 2 raises ContractError.
     """
-    _check_int(n, "n")
-    if n < 2:
-        raise ContractError(f"tight example needs n >= 2, got {n}")
+    check_count(n, "n", 2, ContractError)
     denom = 4 * n - 2
     goods = [f"g{j}" for j in range(1, 3 * n)]
     values = {}
@@ -88,18 +81,16 @@ def gen_random(spec: GeneratorSpec) -> Instance:
     uniform-int draws values in [0, bound]; uniform-rational draws p/q
     with p in [0, bound] and q in [1, bound].  Draws go agent by agent,
     good by good, so the same spec always yields the same instance.
-    A spec it cannot generate, or whose ``n``, ``m`` or ``value_bound`` is
-    not an int, raises ContractError.
+    A spec of another kind, or whose ``n``, ``m`` or ``value_bound`` is not
+    an int of at least 1, 0 or 0 (1 for uniform-rational), raises
+    ContractError.
     """
     if spec.kind not in ("uniform-int", "uniform-rational"):
         raise ContractError(f"gen_random cannot generate kind {spec.kind!r}")
-    for field in ("n", "m", "value_bound"):
-        _check_int(getattr(spec, field), field)
-    if spec.n < 1 or spec.m < 0:
-        raise ContractError(f"bad generator shape: n={spec.n}, m={spec.m}")
+    check_count(spec.n, "n", 1, ContractError)
+    check_count(spec.m, "m", 0, ContractError)
     bound = spec.value_bound
-    if bound < 0 or (spec.kind == "uniform-rational" and bound < 1):
-        raise ContractError(f"bad value bound {bound} for kind {spec.kind}")
+    check_count(bound, "value_bound", 1 if spec.kind == "uniform-rational" else 0, ContractError)
     rng = random.Random(spec.seed)
     goods = [f"g{j}" for j in range(1, spec.m + 1)]
     valuations = {}

@@ -38,7 +38,15 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, Value, _ids, certificate_cells, certificate_value, scaled_ratios
+from .core import (
+    Instance,
+    Value,
+    _ids,
+    certificate_cells,
+    certificate_value,
+    check_count,
+    scaled_ratios,
+)
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
 from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
 
@@ -87,12 +95,6 @@ class MmsResult:
 
     value: Value
     partition: tuple = _Deferred()  # of frozensets of good ids
-
-
-def _check_parts(parts) -> None:
-    """Reject a part count that is not an int >= 1; a bool is not one."""
-    if isinstance(parts, bool) or not isinstance(parts, int) or parts < 1:
-        raise ContractError(f"parts must be an int >= 1, got {parts!r}")
 
 
 def _checked_ratios(valuation: Mapping, goods: Sequence) -> list:
@@ -383,9 +385,8 @@ def mms(
     raises ValidationError naming it rather than falling back.  A searched
     result's partition is built on its first read.
     """
-    _check_parts(parts)
-    if isinstance(max_goods, bool) or not isinstance(max_goods, int) or max_goods < 0:
-        raise ValidationError(f"max_goods must be an int of at least 0, got {max_goods!r}")
+    check_count(parts, "parts", 1, ContractError)
+    check_count(max_goods, "max_goods", 0, ValidationError)
     goods = _ids(good_set, "good_set")
     ratios = _checked_ratios(valuation, goods)
     if certificate is not None:

@@ -53,7 +53,10 @@ class AlphaChoice:
     ``n_original`` and is stored as the Fraction read, so a hand-built
     choice above the proven bound, or at most 0, raises ContractError, and
     one that is not an exact rational raises ValidationError naming
-    ``alpha``.  ``delta``, the excess over 3/4, is derived from alpha.
+    ``alpha``.  ``mode`` must state that alpha: "classic" only at 3/4,
+    "improved" only at ``alpha_limit(n_original)``, "explicit" at any;
+    anything else raises ContractError naming ``mode``.  ``delta``, the
+    excess over 3/4, is derived from alpha.
     """
 
     n_original: int
@@ -61,7 +64,13 @@ class AlphaChoice:
     mode: str
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", check_alpha(self.alpha, self.n_original))
+        alpha = check_alpha(self.alpha, self.n_original)
+        object.__setattr__(self, "alpha", alpha)
+        if not (self.mode == "explicit"
+                or (self.mode == "classic" and alpha == CLASSIC_ALPHA)
+                or (self.mode == "improved" and alpha == alpha_limit(self.n_original))):
+            raise ContractError(f"mode {self.mode!r} does not state alpha {alpha}: 'classic' "
+                                "is 3/4, 'improved' is alpha_limit(n), 'explicit' any alpha")
 
     @property
     def delta(self) -> Value:

@@ -33,6 +33,7 @@ from .core import (
     ZERO,
     bundle_value,
     check_agents,
+    check_count,
     check_shares,
     format_value,
     fresh_id,
@@ -64,10 +65,7 @@ def alpha_limit(n: int) -> Fraction:
     >>> alpha_limit(3), alpha_limit(8)
     (Fraction(7, 9), Fraction(24, 31))
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ContractError(f"agent count must be an int, got {n!r}")
-    if n < 1:
-        raise ContractError(f"agent count must be >= 1, got {n}")
+    check_count(n, "agent count", 1, ContractError)
     # 3/(16n-4) <= 1/36 exactly when n >= 7, and 3/4 + 3/(16n-4) = 3n/(4n-1).
     return _ALPHA_UP_TO_7 if n <= 7 else Fraction(3 * n, 4 * n - 1)
 

@@ -10,8 +10,8 @@ from itertools import product
 from pathlib import Path
 
 import mmsfair as mf
-from mmsfair.core import _ids, scaled_ratios
-from mmsfair.oracle import _check_parts, _checked_ratios
+from mmsfair.core import _ids, check_count, scaled_ratios
+from mmsfair.oracle import _checked_ratios
 
 
 def random_instance(seed, n, m, bound=20, min_value=0, rational=False) -> mf.Instance:
@@ -37,7 +37,7 @@ def mms_naive(valuation, parts, good_set) -> mf.MmsResult:
     solely to cross-check ``mf.mms``, and reads its good set and checks its
     values through the package's own readers, as ``mf.mms`` does.
     """
-    _check_parts(parts)
+    check_count(parts, "parts", 1, mf.ContractError)
     goods = _ids(good_set, "good_set")
     if len(goods) > 10 or parts > 4:
         raise mf.CapacityError("mms_naive is limited to 10 goods / 4 parts")

@@ -458,7 +458,7 @@ def test_gen_random_with_no_agents_exits_2(capsys):
     code, out, err = _run(capsys, "gen", "random", "--n", "0", "--m", "3",
                           "--bound", "5", "--seed", "1")
     assert code == 2 and out == ""
-    assert "bad generator shape" in err
+    assert err == "error: n must be at least 1, got 0\n"
 
 
 def test_bench_rejects_unknown_suite(capsys):

@@ -1,8 +1,10 @@
 """Core model: exact values, instance validation, bundle sums, JSON I/O."""
 
+import argparse
 import copy
 import dataclasses
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmsfair as mf
+from mmsfair import cli
 from mmsfair.core import fresh_id
 
 from helpers import random_instance
@@ -131,7 +134,7 @@ def test_without_nothing_to_drop_is_the_instance_itself():
     assert inst.without() is inst
     assert inst.without(agents=[], goods=set()) is inst
     assert inst.without().certificates == inst.certificates != {}
-    changed = [inst.without(agents=(0,)), inst.without(goods=("g9",)),
+    changed = [inst.without(agents=(0,)), inst.without(goods=("g8",)),
                inst.without(dummy=("d1", {a: Fraction(0) for a in inst.agents}))]
     for smaller in changed:
         assert smaller is not inst
@@ -190,13 +193,81 @@ def test_instance_to_json_rejects_agent_ids_it_cannot_read_back():
         mf.instance_to_json(inst.without(agents=(0,)))
 
 
+def test_without_rejects_ids_it_does_not_hold():
+    inst = mf.make_instance(2, ["g1", "g2"], {a: {"g1": 1, "g2": 2, "d1": 0} for a in (0, 1)},
+                            dummies=["d1"])
+    cases = [(dict(agents=[0, 5]), r"^without: unknown agents \['5'\]$"),
+             (dict(goods=["d1", "g1", "g9"]), r"^without: not real goods \['d1', 'g9'\]$"),
+             (dict(goods=["g1"], dummy=("g2", {0: 0, 1: 0})), r"^without: dummy id 'g2' is taken$"),
+             (dict(agents=[0], dummy=("d2", {0: 1})),
+              r"^without: dummy values given for agents \['0'\], but the survivors are \[1\]$"),
+             (dict(dummy=("d2", {0: 1})),
+              r"^without: dummy values given for agents \['0'\], but the survivors are \[0, 1\]$")]
+    for kwargs, message in cases:
+        with pytest.raises(mf.ContractError, match=message):
+            inst.without(**kwargs)
+
+
+def _main_on(monkeypatch, capsys, args):
+    """The CLI's exit code and stderr for ``args`` as parsed arguments."""
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: argparse.Namespace(**args))
+    return cli.main([]), capsys.readouterr().err
+
+
+# Every entry that reads a count: (field, least, class raised, call with the
+# count).  A CLI flag's call gives the parsed arguments that main runs on:
+# argparse reads the flags as ints, so main is handed the other values here.
+COUNT_ENTRIES = {
+    "mms parts": ("parts", 1, mf.ContractError, lambda v: mf.mms({"g1": 1}, v, ["g1"])),
+    "mms max_goods": ("max_goods", 0, mf.ValidationError,
+                      lambda v: mf.mms({}, 1, [], max_goods=v)),
+    "alpha_limit": ("agent count", 1, mf.ContractError, mf.alpha_limit),
+    "gen_tight_example": ("n", 2, mf.ContractError, mf.gen_tight_example),
+    "gen_random n": ("n", 1, mf.ContractError,
+                     lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=v))),
+    "gen_random m": ("m", 0, mf.ContractError,
+                     lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=1, m=v))),
+    "gen_random uniform-int value_bound": (
+        "value_bound", 0, mf.ContractError,
+        lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=1, value_bound=v))),
+    "gen_random uniform-rational value_bound": (
+        "value_bound", 1, mf.ContractError,
+        lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-rational", n=1, value_bound=v))),
+    "make_instance": ("agents", 0, mf.ValidationError, lambda v: mf.make_instance(v, [], {})),
+    "cli --max-goods": ("--max-goods", 0, mf.ValidationError,
+                        lambda v: dict(max_goods=v, func=lambda args: 0)),
+    "cli --count": ("--count", 1, mf.ValidationError,
+                    lambda v: dict(func=cli._cmd_bench, suite="random", count=v, seed=1,
+                                   max_goods=20, output=os.devnull)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_every_count_entry_checks_its_count(entry, monkeypatch, capsys):
+    field, least, error, call = COUNT_ENTRIES[entry]
+    bad = [(v, f"{field} must be an int, got {v!r}") for v in (True, 1.0, "1", None)]
+    bad.append((least - 1, f"{field} must be at least {least}, got {least - 1}"))
+    for value, message in bad:
+        if field.startswith("--"):
+            assert _main_on(monkeypatch, capsys, call(value)) == (2, f"error: {message}\n")
+            continue
+        with pytest.raises(error) as info:
+            call(value)
+        assert type(info.value) is error and str(info.value) == message
+    if field.startswith("--"):
+        assert _main_on(monkeypatch, capsys, call(least)) == (0, "")
+    else:
+        call(least)
+
+
 def test_instance_json_rejects_missing_rows():
     with pytest.raises(mf.ValidationError):
         mf.instance_from_json({"agents": 2, "goods": ["g1"],
                                "valuations": {"0": {"g1": 1}}})
     # make_instance checks the count and the rows as the JSON path does
-    for n in (-2, True):
-        with pytest.raises(mf.ValidationError, match="non-negative count"):
+    for n, message in ((-2, r"^agents must be at least 0, got -2$"),
+                       (True, r"^agents must be an int, got True$")):
+        with pytest.raises(mf.ValidationError, match=message):
             mf.make_instance(n, ["g1"], {0: {"g1": 1}})
     with pytest.raises(mf.ValidationError, match=r"unknown agents \['7'\]"):
         mf.make_instance(2, ["g1"], {a: {"g1": 1} for a in (0, 1, 7)})
@@ -204,7 +275,7 @@ def test_instance_json_rejects_missing_rows():
 
 def test_make_instance_rejects_what_it_cannot_build():
     row = {"g1": 1}
-    with pytest.raises(mf.ValidationError, match=r"^agents: .* got 2\.0"):
+    with pytest.raises(mf.ValidationError, match=r"^agents must be an int, got 2\.0$"):
         mf.make_instance(2.0, ["g1"], {0: row, 1: row})
     with pytest.raises(mf.ValidationError, match=r"^valuations\[1\]: must be a mapping, got list"):
         mf.make_instance(2, ["g1"], {0: row, 1: [("g1", 1)]})

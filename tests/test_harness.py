@@ -73,9 +73,9 @@ def test_gen_random_zero_bound_gives_all_zero():
 
 def test_gen_random_rejects_what_it_cannot_generate():
     cases = [(dict(kind="x", n=2, m=3, value_bound=5), r"cannot generate kind 'x'"),
-             (dict(kind="uniform-int", n=0, m=3, value_bound=5), "bad generator shape: n=0, m=3"),
+             (dict(kind="uniform-int", n=0, m=3, value_bound=5), r"^n must be at least 1, got 0$"),
              (dict(kind="uniform-rational", n=2, m=3, value_bound=0),
-              "bad value bound 0 for kind uniform-rational"),
+              r"^value_bound must be at least 1, got 0$"),
              # Fields that are not ints: not a bare TypeError or ValueError.
              (dict(kind="uniform-int", n=2, m=3, value_bound=5.5),
               r"^value_bound must be an int, got 5\.5$"),

@@ -78,6 +78,17 @@ def test_alpha_choice_checks_alpha_when_built_and_derives_delta():
             mf.AlphaChoice(n_original=3, alpha=alpha, mode="explicit")
 
 
+def test_alpha_choice_rejects_a_mode_that_misstates_its_alpha():
+    for alpha, mode in ((Fraction(3, 4), "improved"), (Fraction(7, 9), "classic"),
+                        (Fraction(2, 3), "banana"), (Fraction(3, 4), None)):
+        with pytest.raises(mf.ContractError, match=f"^mode {mode!r} does not state alpha "):
+            mf.AlphaChoice(n_original=3, alpha=alpha, mode=mode)
+    # the three modes alpha_for builds, "explicit" at any checked alpha
+    for alpha, mode in ((Fraction(3, 4), "classic"), (Fraction(7, 9), "improved"),
+                        (Fraction(3, 4), "explicit"), (Fraction(7, 9), "explicit")):
+        assert mf.AlphaChoice(n_original=3, alpha=alpha, mode=mode).mode == mode
+
+
 def test_no_solve_runs_above_the_bound_for_the_original_agent_count():
     # After agent 0 is peeled, 7 agents remain, whose bound 7/9 lies above
     # the 24/31 proven for the instance's 8; an all-zero instance would
