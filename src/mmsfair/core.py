@@ -179,7 +179,8 @@ class Instance:
         a partition of all goods into n cells.  An agent or real good the
         instance does not hold, a dummy id it already holds, or dummy
         values not keyed by exactly the survivors raise ContractError
-        naming the ids.
+        naming the ids.  Each dummy value is read by ``parse_field``, as
+        the field ``dummy[agent]``.
         """
         agents, goods = set(agents), set(goods)
         if not agents and not goods and dummy is None:
@@ -198,11 +199,12 @@ class Instance:
                 raise ContractError(
                     f"without: dummy values given for agents {sorted(map(str, dummy[1]))}, "
                     f"but the survivors are {list(survivors)}")
+            dummy_values = {a: parse_field(v, f"dummy[{a}]") for a, v in dummy[1].items()}
         valuations = {}
         for a in survivors:
             row = {g: v for g, v in self.valuations[a].items() if g not in goods}
             if dummy is not None:
-                row[dummy[0]] = dummy[1][a]
+                row[dummy[0]] = dummy_values[a]
             valuations[a] = row
         return Instance(
             agents=survivors,

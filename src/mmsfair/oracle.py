@@ -17,11 +17,10 @@ floor.  So thresholds strictly rise, and only the probe that proves the
 optimum fails.  ``_covers`` is a bin-completion search: it fills one cell
 at a time, opened by the largest weight left and completed by smaller
 ones, with a value bound, a cell-size bound and a table of failed states
-that every probe of one climb shares.  The climb builds no witness: the
-partition is ``_covers``'s split at the optimum with a fresh memo, run on
-the partition's first read, so a caller that reads only values (rule
-targets, verification) never pays for it.  The independent routes that
-cross-check it live in the tests.
+that every probe of one climb shares.  The witness is the packing the
+climb ends on, whose minimum cell is the value: no second search builds
+it, and it is mapped to goods only on the partition's first read.  The
+independent routes that cross-check the value live in the tests.
 
 A *certificate* skips search entirely: it is a partition into
 equal-valued cells.  If all k cells have the same value c, the maximin
@@ -86,11 +85,11 @@ class MmsResult:
     The partition always has exactly ``parts`` cells and its minimum cell
     value equals ``value``.  When fewer goods than parts have positive
     value, the value is 0 and some cells are empty (a searched partition
-    has every good in cell 0).  ``mms`` defers it: its search finds the
-    value without a witness, and the partition is ``_covers``'s split at
-    the value, built on its first read (in the package only ``normalize``
-    and the CLI's ``mms`` command read it), then kept.  It may be given as
-    a tuple, or as a zero-argument callable that returns one.
+    has one positive good per cell and the zero goods in cell 0).  ``mms``
+    defers it: the partition is the packing its climb ends on, mapped to
+    goods on its first read (in the package only ``normalize`` and the
+    CLI's ``mms`` command read it), then kept.  It may be given as a
+    tuple, or as a zero-argument callable that returns one.
     """
 
     value: Value
@@ -177,7 +176,7 @@ def _covers(desc: Sequence[int], parts: int, tau: int, seen: set):
     """Split the weights into ``parts`` cells each summing to >= tau, by bin
     completion: returns the cells as lists of indices into ``desc``, or
     None.  At tau <= 0 every index is in cell 0 and the other cells are
-    empty: that is the witness of a share of 0.
+    empty; the climb never probes below 1, so only the tests reach that.
 
     ``desc`` must be positive and non-increasing.  One cell is filled at a
     time: the largest remaining weight opens it (some cell holds it, and
@@ -286,42 +285,25 @@ def _complete(desc, rest, ws, suffix, j, deficit, slack, mask, k, tau, seen,
     return False
 
 
-def _out_of_stack(count: int) -> CapacityError:
-    # _complete recurses once per weight in a cell, so a cell of about a
-    # thousand goods passes Python's recursion limit.
-    return CapacityError(
-        f"exact MMS search over {count} goods ran out of stack; lower "
-        f"max_goods (--max-goods), or supply a certificate")
+def _witness(goods: tuple, weights: list, cells: list) -> tuple:
+    """The packing ``cells`` of positive weights as frozensets of ``goods``.
 
-
-def _witness(goods: tuple, weights: list, desc: list, parts: int, value: int) -> tuple:
-    """The witness of the share ``value``, as frozensets of goods.
-
-    ``weights`` holds each good's weight and ``desc`` the positive ones in
-    non-increasing order.  The cells are ``_covers`` at the value with a
-    fresh memo, so they depend only on the weights, ``parts``, the value
-    and ``_covers``'s branch order, not on how the value was found.  They
-    are mapped back to goods through ``order``, the goods' indices by
-    non-increasing weight, built here: its prefix matches ``desc`` and its
-    tail, the zero weights, joins cell 0.  At a value of 0 (fewer positive
-    weights than parts) every good is in cell 0.  A search that recurses
-    past the stack raises CapacityError.
+    ``weights`` holds each good's weight.  Equal weights are
+    interchangeable, so each weight in a cell takes the next good of that
+    weight in index order, and the zero-weight goods join cell 0.
     """
-    try:
-        split = _covers(desc, parts, value, set())
-    except RecursionError:
-        raise _out_of_stack(len(goods)) from None
-    # A reverse sort is stable: equal weights keep their index order.
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    cells = [[order[i] for i in cell] for cell in split]
-    cells[0].extend(order[len(desc):])
-    return tuple(frozenset(goods[i] for i in cell) for cell in cells)
+    pools = {}  # each weight's goods, the last index first
+    for good, w in zip(reversed(goods), reversed(weights)):
+        pools.setdefault(w, []).append(good)
+    named = [[pools[w].pop() for w in cell] for cell in cells]
+    named[0] += pools.get(0, ())
+    return tuple(map(frozenset, named))
 
 
 def _max_min_partition(weights: Sequence[int], parts: int, goods: tuple) -> tuple:
     """Exact maximin over integer weights, one per good: (value, witness).
 
-    The value is found by a climb that builds no witness.  It starts at a
+    The value is found by a climb.  It starts at a
     local-search floor (the LPT packing improved by ``_raise_min``) and
     asks ``_covers`` only for one above the floor.  ``_covers`` closes each
     cell as soon as it reaches the threshold, so a split's smallest cell
@@ -336,14 +318,16 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: tuple) -> tupl
     fewer positive weights than parts the floor is 0, and a probe at 1
     ends the climb at ``_covers``'s root check.
 
-    ``witness`` is a zero-argument callable that returns the partition of
-    ``goods`` (``_witness``: ``_covers`` at the value with a fresh memo).
-    It holds the weights it needs, never the climb's memo, and runs only
-    when called.
+    The witness is the packing the climb ends on, whose minimum cell is
+    the value: the polished LPT cells when no probe succeeds, otherwise
+    the last successful split once polished.  ``witness`` is a
+    zero-argument callable that maps it to goods (``_witness``); it runs
+    no search.
     """
     desc = sorted([w for w in weights if w], reverse=True)
     hi = sum(desc) // parts
-    lo = _raise_min(_lpt_cells(desc, parts), hi)
+    cells = _lpt_cells(desc, parts)
+    lo = _raise_min(cells, hi)
     seen = set()
     while lo < hi:
         split = _covers(desc, parts, lo + 1, seen)
@@ -356,7 +340,7 @@ def _max_min_partition(weights: Sequence[int], parts: int, goods: tuple) -> tupl
                 f"_covers at threshold {lo + 1} into {parts} parts returned the "
                 f"cell {min(cells, key=sum)}, which sums to only {low}")
         lo = _raise_min(cells, hi)
-    return lo, partial(_witness, goods, weights, desc, parts, lo)
+    return lo, partial(_witness, goods, weights, cells)
 
 
 def mms(
@@ -376,14 +360,16 @@ def mms(
     ``max_goods`` that is not a non-negative int, certificate or not; a
     ``parts`` that is not a positive int (a bool is not one) raises
     ContractError.  When fewer goods than parts have positive value the
-    value is 0, and a searched partition has every good in cell 0.  A search over more than ``max_goods`` goods
-    raises CapacityError, as does a search or a partition read that
-    recurses past the stack (a cell of about a thousand goods); the good
-    count is the only limit, whatever the part count.  An equal-valued
+    value is 0, and a searched partition has one positive good per cell
+    and the zero goods in cell 0.  A search over more than ``max_goods``
+    goods raises CapacityError, as does a search that recurses past the
+    stack (a cell of about a thousand goods); the good count is the only
+    limit, whatever the part count.  An equal-valued
     ``certificate`` partition, cells as ``make_instance`` takes them,
     short-circuits the search (and that limit); any other certificate
     raises ValidationError naming it rather than falling back.  A searched
-    result's partition is built on its first read.
+    result's partition is the packing its search ends on, mapped to goods
+    on its first read.
     """
     check_count(parts, "parts", 1, ContractError)
     check_count(max_goods, "max_goods", 0, ValidationError)
@@ -400,7 +386,11 @@ def mms(
     try:
         raw, witness = _max_min_partition(weights, parts, goods)
     except RecursionError:
-        raise _out_of_stack(len(goods)) from None
+        # _complete recurses once per weight in a cell, so a cell of about
+        # a thousand goods passes Python's recursion limit.
+        raise CapacityError(
+            f"exact MMS search over {len(goods)} goods ran out of stack; lower "
+            f"max_goods (--max-goods), or supply a certificate") from None
     return MmsResult(Fraction(raw, denom), witness)
 
 

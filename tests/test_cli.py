@@ -241,19 +241,38 @@ def test_a_search_out_of_memory_exits_3_naming_max_goods(tmp_path, capsys, monke
 
 
 def test_a_search_out_of_stack_exits_3_naming_max_goods(tmp_path, capsys):
-    # 3,000 unit goods over 2 parts: the floor is already total // parts, so
-    # the climb makes no probe, but the witness completes one cell of 1,500
-    # goods a recursion level each.
-    goods = [f"g{j}" for j in range(1, 3001)]
+    # 13, 4 and 14 plus 3,001 goods of 3 over 3 parts: the climb's probes
+    # complete cells of about a thousand goods, a recursion level each.
+    goods = [f"g{j}" for j in range(1, 3005)]
+    row = {g: 3 for g in goods} | {"g1": 13, "g2": 4, "g3": 14}
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(json.dumps(
-        {"agents": 2, "goods": goods, "valuations": {a: {g: 1 for g in goods}
-                                                     for a in ("0", "1")}}))
+        {"agents": 3, "goods": goods, "valuations": {a: row for a in ("0", "1", "2")}}))
     for command in ("mms", "solve"):
         code, out, err = _run(capsys, command, "--input", str(inst_file),
                               "--max-goods", "5000")
         assert code == 3, (command, err)
         assert "--max-goods" in err and "stack" in err and out == "", (command, err)
+
+
+def test_a_floor_at_total_over_parts_solves_thousands_of_goods(tmp_path, capsys):
+    # 3,000 unit goods over 2 parts: the floor is already total // parts, so
+    # the climb makes no probe, and the witness is its packing: no search
+    # completes a cell of 1,500 goods.
+    goods = [f"g{j}" for j in range(1, 3001)]
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(
+        {"agents": 2, "goods": goods, "valuations": {a: {g: 1 for g in goods}
+                                                     for a in ("0", "1")}}))
+    code, out, err = _run(capsys, "mms", "--input", str(inst_file), "--max-goods", "5000")
+    assert code == 0, err
+    for share in json.loads(out).values():
+        assert share["mms"] == "1500/1"
+        cells = share["partition"]
+        assert len(cells) == 2 and sorted(g for cell in cells for g in cell) == sorted(goods)
+        assert [len(cell) for cell in cells] == [1500, 1500]
+    code, out, err = _run(capsys, "solve", "--input", str(inst_file), "--max-goods", "5000")
+    assert code == 0, err
 
 
 def test_explicit_alpha_above_bound_rejected(tmp_path, capsys):

@@ -208,6 +208,19 @@ def test_without_rejects_ids_it_does_not_hold():
             inst.without(**kwargs)
 
 
+def test_without_reads_dummy_values_as_values():
+    # A float or negative dummy value was once stored as given, and only
+    # validate_instance rejected the result.
+    inst = mf.make_instance(2, ["g1"], {a: {"g1": 1} for a in (0, 1)})
+    for values, field in (({0: 1.5, 1: 1}, r"dummy\[0\]"), ({0: 1, 1: -1}, r"dummy\[1\]")):
+        with pytest.raises(mf.ValidationError, match=rf"^{field}: "):
+            inst.without(dummy=("d1", values))
+    smaller = inst.without(dummy=("d1", {0: 2, 1: "1/2"}))
+    assert [smaller.valuations[a]["d1"] for a in (0, 1)] == [Fraction(2), Fraction(1, 2)]
+    assert type(smaller.valuations[0]["d1"]) is Fraction
+    mf.validate_instance(smaller)
+
+
 def _main_on(monkeypatch, capsys, args):
     """The CLI's exit code and stderr for ``args`` as parsed arguments."""
     monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: argparse.Namespace(**args))

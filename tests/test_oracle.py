@@ -31,6 +31,18 @@ def _check_witness(valuation, parts, result):
     assert min(sum((valuation[g] for g in cell), Fraction(0)) for cell in cells) == result.value
 
 
+def _read_without_search(result):
+    """``result.partition``, read with ``_covers`` and ``_complete`` made to
+    fail the test if called: a partition read runs no search."""
+    def search(*args):
+        raise AssertionError(f"a partition read searched: {args!r}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_covers", search)
+        patch.setattr(oracle, "_complete", search)
+        return result.partition
+
+
 def test_single_part_is_total():
     vals = {"a": Fraction(3), "b": Fraction(5)}
     r = mf.mms(vals, 1, ["a", "b"])
@@ -61,18 +73,16 @@ def test_naive_single_part_and_unit_cases():
 
 
 def test_fewer_goods_than_parts_gives_zero_with_empty_cells(monkeypatch):
-    # The share is an ordinary search: the floor is 0, the one probe at 1 is
-    # refused at _covers's root check, and the witness is _covers at 0 with
-    # a fresh memo, which puts every good in cell 0.
+    # The share is an ordinary search: the floor is 0, and the one probe at
+    # 1 is refused at _covers's root check.  The witness is the LPT packing
+    # the floor stands on: each positive good opens a cell of its own, the
+    # zero goods join cell 0, and the cell left over is empty.
     probes = _recording(monkeypatch)
-    vals = _vals([4, 9])
+    vals = _vals([4, 0, 9])
     r = mf.mms(vals, 3, list(vals))
     assert r.value == 0
     assert probes == [(1, None, set())]
-    climb_memo = probes[0][2]
-    assert r.partition == (frozenset({"g1", "g2"}), frozenset(), frozenset())
-    assert probes[1:] == [(0, [[0, 1], [], []], set())]
-    assert probes[1][2] is not climb_memo
+    assert _read_without_search(r) == (frozenset({"g3", "g2"}), frozenset({"g1"}), frozenset())
     _check_witness(vals, 3, r)
     for empty in (mf.mms({}, 2, []), mms_naive({}, 2, [])):
         assert empty.value == 0
@@ -154,7 +164,7 @@ def test_capacity_errors(monkeypatch):
     # the good count is the only limit: 9 parts are searched
     r = mf.mms(small, 9, list(small))
     assert r.value == 0
-    assert r.partition == (frozenset(small),) + (frozenset(),) * 8
+    assert _read_without_search(r) == tuple(frozenset({g}) for g in small) + (frozenset(),) * 4
     # explicit limits override the default
     r = mf.mms(vals, 2, list(vals), max_goods=25)
     assert r.value == 12
@@ -171,19 +181,24 @@ def test_capacity_errors(monkeypatch):
                max_goods=-1)
     with pytest.raises(mf.ValidationError, match="max_goods"):
         mf.instance_mms_values(tight, max_goods=-1)
-    # A search past the stack is a capacity error too: the floor of 3,000
-    # unit goods is already total // 2, and the witness read completes a
-    # cell of 1,500 goods, one recursion level each.
+    # A search past the stack is a capacity error too: over 3 parts, the
+    # climb's probes complete cells of about a thousand goods of 3, one
+    # recursion level each.
+    deep = {"a": 13, "b": 4, "c": 14, **{f"g{i}": 3 for i in range(3001)}}
+    with pytest.raises(mf.CapacityError, match="stack.*max_goods"):
+        mf.mms(deep, 3, list(deep), max_goods=5000)
+    # The floor of 3,000 unit goods is already total // 2: the climb makes
+    # no probe, and reading its packing completes no cell of 1,500 goods.
     many = {f"g{i}": 1 for i in range(3000)}
     r = mf.mms(many, 2, list(many), max_goods=5000)
     assert r.value == 1500
-    with pytest.raises(mf.CapacityError, match="stack.*max_goods"):
-        r.partition
+    _read_without_search(r)
+    _check_witness(many, 2, r)
 
     def past_the_stack(*args):
         raise RecursionError
 
-    # and so is a climb that recurses past it
+    # and so is any climb that recurses past it
     monkeypatch.setattr(oracle, "_max_min_partition", past_the_stack)
     with pytest.raises(mf.CapacityError, match="stack.*max_goods"):
         mf.mms(small, 2, list(small))
@@ -274,34 +289,15 @@ def _recording(monkeypatch) -> list:
 
 def test_max_min_partition_probes_each_threshold_once(monkeypatch):
     # LPT packs [3, 3, 2, 2, 2] into 7 | 5 and local search raises that to
-    # the optimum 6 | 6, which is total // parts: the value costs no probe,
-    # and the witness one _covers at 6, made when the partition is first
-    # read.
+    # the optimum 2 + 2 + 2 | 3 + 3, which is total // parts: the value
+    # costs no probe, and the witness is that packing, read with none.
     probes = _recording(monkeypatch)
     vals = _vals([3, 3, 2, 2, 2])
     r = mf.mms(vals, 2, list(vals))
     assert r.value == 6
     assert probes == []
+    assert _read_without_search(r) == (frozenset({"g3", "g4", "g5"}), frozenset({"g1", "g2"}))
     _check_witness(vals, 2, r)
-    assert [tau for tau, _, _ in probes] == [6]
-    probes.clear()
-    _check_witness(vals, 2, r)
-    assert probes == []
-
-
-def _witness_at(weights, parts, tau):
-    """Cells of _covers at tau with a fresh memo, built as
-    _max_min_partition builds its witness."""
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    positive = [i for i in order if weights[i] > 0]
-    desc = [weights[i] for i in positive]
-    cells = [[positive[i] for i in cell] for cell in oracle._covers(desc, parts, tau, set())]
-    cells[0].extend(i for i in order if weights[i] == 0)
-    return cells
-
-
-def _goods_cells(goods, cells):
-    return tuple(frozenset(goods[i] for i in cell) for cell in cells)
 
 
 def test_max_min_partition_polishes_each_split(monkeypatch):
@@ -322,10 +318,10 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
     # lcm-scaled rationals make an answer range about 1e10 wide.  The value
     # climb probes _covers only one above the best minimum cell seen so far,
     # each split polished by local search, so only the probe just above the
-    # optimum fails, and no witness is built until the partition is read:
-    # then one _covers at the optimum, with a memo of its own.  The seeded
-    # integer cases include splits that local search raises, so the climb's
-    # use of the polished minimum is checked.
+    # optimum fails, and the witness is the packing the climb ends on: the
+    # polished LPT cells, or the last split once polished, read with no
+    # search.  The seeded integer cases include splits that local search
+    # raises, so the climb's use of the polished minimum is checked.
     probes = _recording(monkeypatch)
     rng, ints = random.Random(53), random.Random(1)
     cases = [([Fraction(rng.randint(1, 100), rng.randint(1, 100))
@@ -348,15 +344,16 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         # them share one memo.
         desc = sorted(weights, reverse=True)
         hi = sum(desc) // parts
-        lo = oracle._raise_min(oracle._lpt_cells(desc, parts), hi)
+        packing = oracle._lpt_cells(desc, parts)
+        lo = oracle._raise_min(packing, hi)
         for tau, cells, seen in probes:
             assert tau == lo + 1 <= hi, (lo, probes)
             assert seen is not None and seen is probes[0][2]
             if cells is None:
                 break
-            split = [[desc[i] for i in cell] for cell in cells]
-            low = min(map(sum, split))
-            lo = oracle._raise_min(split, hi)
+            packing = [[desc[i] for i in cell] for cell in cells]
+            low = min(map(sum, packing))
+            lo = oracle._raise_min(packing, hi)
             raised += lo > low
         assert lo == value, (value, probes)
         # The climb ends at its first failure, at value + 1, or at
@@ -365,15 +362,13 @@ def test_max_min_partition_climbs_with_one_failed_probe(monkeypatch):
         assert failed == ([] if value == hi else [value + 1]), (value, probes)
         assert not failed or probes[-1][1] is None
 
-        climb_memo = probes[0][2] if probes else None
-        expected = _goods_cells(list(vals), _witness_at(weights, parts, value))
-        probes.clear()
-        assert r.partition == expected
-        assert [tau for tau, _, _ in probes] == [value]
-        assert probes[0][2] is not climb_memo
-        probes.clear()
-        assert r.partition == expected
-        assert probes == []
+        # The witness holds, cell by cell, the weights of the packing the
+        # replay ends on.
+        weight = dict(zip(vals, weights))
+        cells = _read_without_search(r)
+        assert [sorted(weight[g] for g in cell) for cell in cells] == \
+            [sorted(cell) for cell in packing]
+        assert r.partition is cells
     assert raised, "no successful probe's split was raised by local search"
 
 
@@ -435,14 +430,14 @@ def _desc_weights(draw, min_value=1):
 def test_deferred_partition_is_the_witness_at_the_value(weights, parts):
     vals = _vals(weights)
     r = mf.mms(vals, parts, list(vals))
+    cells = _read_without_search(r)
     _check_witness(vals, parts, r)
-    cells = _witness_at(weights, parts, r.value.numerator)
-    assert r.partition == _goods_cells(list(vals), cells)
+    assert r.partition is cells
 
 
 def test_witnesses_past_twenty_goods():
     # Every share of these 24-good rows, witness included, takes
-    # milliseconds: the witness is one more _covers probe, at the value.
+    # milliseconds: the witness is the packing the climb ends on.
     for seed in (1, 2, 3):
         inst = random_instance(seed, 6, 24, bound=1000)
         for row in inst.valuations.values():
@@ -828,13 +823,12 @@ def test_wide_golden_shares_match_reference():
         assert _reference_agrees(doc["parts"], values, mf.parse_value(doc["mms"])), name
 
 
-def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
-    # A partition read that fails part-way (a MemoryError from a large
-    # memo, say) frees its memo as its frames unwind: nothing is left for
-    # the cyclic collector.  The read of this case completes 441 cells.
+def test_a_search_that_raises_leaves_no_cycle(monkeypatch):
+    # A search that fails part-way (a MemoryError from a large memo, say)
+    # frees its memo as its frames unwind: nothing is left for the cyclic
+    # collector.  The search of this case makes 1,544 ``_complete`` calls.
     parts, values = golden_mms_case("int", 107)
     vals = _vals(values)
-    result = mf.mms(vals, parts, list(vals))
     calls = 0
     real = oracle._complete
 
@@ -850,7 +844,7 @@ def test_a_read_that_raises_leaves_no_cycle(monkeypatch):
     gc.disable()
     try:
         try:
-            result.partition
+            mf.mms(vals, parts, list(vals))
         except MemoryError:
             pass
         assert calls > 200
