@@ -53,24 +53,22 @@ class AlphaChoice:
     ``n_original`` and is stored as the Fraction read, so a hand-built
     choice above the proven bound, or at most 0, raises ContractError, and
     one that is not an exact rational raises ValidationError naming
-    ``alpha``.  ``mode`` must state that alpha: "classic" only at 3/4,
-    "improved" only at ``alpha_limit(n_original)``, "explicit" at any;
-    anything else raises ContractError naming ``mode``.  ``delta``, the
-    excess over 3/4, is derived from alpha.
+    ``alpha``.  ``mode`` and ``delta``, the excess over 3/4, are derived
+    from alpha: "classic" at 3/4, "improved" at ``alpha_limit(n_original)``,
+    "explicit" at any other alpha.
     """
 
     n_original: int
     alpha: Value
-    mode: str
 
     def __post_init__(self):
-        alpha = check_alpha(self.alpha, self.n_original)
-        object.__setattr__(self, "alpha", alpha)
-        if not (self.mode == "explicit"
-                or (self.mode == "classic" and alpha == CLASSIC_ALPHA)
-                or (self.mode == "improved" and alpha == alpha_limit(self.n_original))):
-            raise ContractError(f"mode {self.mode!r} does not state alpha {alpha}: 'classic' "
-                                "is 3/4, 'improved' is alpha_limit(n), 'explicit' any alpha")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha, self.n_original))
+
+    @property
+    def mode(self) -> str:
+        if self.alpha == CLASSIC_ALPHA:
+            return "classic"
+        return "improved" if self.alpha == alpha_limit(self.n_original) else "explicit"
 
     @property
     def delta(self) -> Value:
@@ -95,10 +93,10 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
     exact rational raises ValidationError naming ``alpha``.
     """
     if mode == "classic":
-        return AlphaChoice(n_original=n, alpha=CLASSIC_ALPHA, mode=mode)
+        return AlphaChoice(n_original=n, alpha=CLASSIC_ALPHA)
     if mode == "improved":
-        return AlphaChoice(n_original=n, alpha=alpha_limit(n), mode=mode)
-    return AlphaChoice(n_original=n, alpha=mode, mode="explicit")
+        return AlphaChoice(n_original=n, alpha=alpha_limit(n))
+    return AlphaChoice(n_original=n, alpha=mode)
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,9 @@ class SolveReport:
     """Everything a solve produced, for scoring, auditing, and testing.
 
     ``irreducible_instance`` is the ordered, normalized, totally
-    irreducible instance that bag filling consumed (None when the
-    reductions left a single agent and bag filling was skipped).
+    irreducible instance that bag filling consumed (None when bag filling
+    was skipped: every agent's share is zero, or the reductions left a
+    single agent).
     """
 
     allocation: dict  # agent -> frozenset of real good ids
@@ -149,19 +148,25 @@ def approx_mms(
 ) -> SolveReport:
     """Solve one instance at the chosen threshold; the score meets alpha.
 
-    Raises CapacityError if an exact maximin computation would exceed the
-    configured search limit, and InternalInvariantError (with the logs
-    attached) if any by-construction guarantee fails at runtime.
+    The instance must have no dummy goods: they count toward every share
+    but are never allocated, so the guarantee does not cover them, and one
+    raises ContractError naming ``dummies``.  Raises CapacityError if an
+    exact maximin computation would exceed the configured search limit,
+    and InternalInvariantError (with the logs attached) if any
+    by-construction guarantee fails at runtime.
     """
     validate_instance(instance)
+    if instance.dummies:
+        raise ContractError("dummies: approx_mms solves instances without dummy "
+                            f"goods, got {list(instance.dummies)}")
     if choice.n_original != instance.n:
         raise ContractError(
             f"alpha was chosen for {choice.n_original} agents but the "
             f"instance has {instance.n}")
     alpha = choice.alpha
 
-    ordered, order_map = to_ordered(instance)
-    base = instance_mms_all(ordered, max_goods=max_goods)
+    order = to_ordered(instance)
+    base = instance_mms_all(order.ordered, max_goods=max_goods)
     base_values = {a: r.value for a, r in base.items()}
     peeled = tuple(a for a in instance.agents if base_values[a] == 0)
 
@@ -172,7 +177,7 @@ def approx_mms(
         allocation[instance.agents[0]] = frozenset(instance.goods)
         log = ReductionLog(records=(), initial=instance, final=instance)
     else:
-        working = ordered.without(agents=peeled)
+        working = order.ordered.without(agents=peeled)
         shares = instance_mms_all(working, max_goods=max_goods) if peeled else base
         log = reduce(working, alpha, shares, max_goods=max_goods)
         final = log.final
@@ -180,8 +185,8 @@ def approx_mms(
             last = final.agents[0]
             sub_alloc = {last: frozenset(final.goods)}
         else:
-            renormalized = normalize(final, log.shares)
-            irreducible, map2 = to_ordered(renormalized)
+            reorder = to_ordered(normalize(final, log.shares))
+            irreducible = reorder.ordered
             oni_values = instance_mms_values(irreducible)
             bad = {a: v for a, v in oni_values.items() if v != 1}
             if bad:
@@ -204,12 +209,12 @@ def approx_mms(
             completed = complete_allocation(irreducible, bag_run.bundles)
             # Renormalization kept the good ids, so this is directly an
             # allocation of the reduce output.
-            sub_alloc = lift_ordered(map2, renormalized, completed)
+            sub_alloc = lift_ordered(reorder, completed)
 
         bundles = lift_reductions(log, sub_alloc)
         for a in peeled:
             bundles[a] = frozenset()
-        allocation = lift_ordered(order_map, instance, bundles)
+        allocation = lift_ordered(order, bundles)
 
     check = verify(instance, allocation, alpha, mms_values=base_values)
     if not check.passed:

@@ -101,19 +101,20 @@ def is_ordered(instance: Instance) -> bool:
 class OrderingMap:
     """Per-agent bridge between an ordered instance and its original.
 
-    ``ordered`` is the ordered instance, whose real goods are listed by
-    rank; ``by_agent[a]`` lists the original real good ids in agent a's own
+    ``ordered`` is ``original`` ordered, its real goods listed by rank;
+    ``by_agent[a]`` lists the original real good ids in agent a's own
     non-increasing value order (ties broken by original position).
     """
 
+    original: Instance
     ordered: Instance
     by_agent: dict
 
 
-def to_ordered(instance: Instance) -> tuple:
+def to_ordered(instance: Instance) -> OrderingMap:
     """Sort every agent's values non-increasingly onto common rank ids.
 
-    Returns (ordered instance, OrderingMap).  Rank r's value for agent a
+    Returns an OrderingMap from ``instance``.  Rank r's value for agent a
     is a's r-th largest value over the real goods.  Dummy goods keep their
     ids and values.  Certificates are carried across through each agent's
     own permutation, which preserves that agent's cell values.
@@ -151,11 +152,11 @@ def to_ordered(instance: Instance) -> tuple:
     ordered = Instance(agents=instance.agents, goods=rank_goods,
                        dummies=instance.dummies, valuations=valuations,
                        certificates=certificates)
-    return ordered, OrderingMap(ordered=ordered, by_agent=by_agent)
+    return OrderingMap(original=instance, ordered=ordered, by_agent=by_agent)
 
 
-def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) -> dict:
-    """Lift an allocation of the ordered instance back to the original.
+def lift_ordered(mapping: OrderingMap, ordered_alloc: dict) -> dict:
+    """Lift an allocation of ``mapping.ordered`` back to ``mapping.original``.
 
     Picking procedure: walk ranks in increasing order; the agent holding
     that rank picks their most valued original good still available (ties
@@ -181,7 +182,7 @@ def lift_ordered(mapping: OrderingMap, original: Instance, ordered_alloc: dict) 
         taken.add(prefs[i])
         bundles[a].add(prefs[i])
     lifted = {a: frozenset(b) for a, b in bundles.items()}
-    validate_allocation(original, lifted)
+    validate_allocation(mapping.original, lifted)
     return lifted
 
 

@@ -256,10 +256,11 @@ def test_criterion_7_lift_correctness():
         n = rng.randint(1, 4)
         m = rng.randint(n, 10)
         inst = random_instance(seed=30_000 + i, n=n, m=m, bound=50, min_value=1)
-        ordered, mapping = mf.to_ordered(inst)
+        mapping = mf.to_ordered(inst)
+        ordered = mapping.ordered
 
         ordered_alloc = random_complete_allocation(rng, ordered)
-        lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+        lifted = mf.lift_ordered(mapping, ordered_alloc)
         for a in inst.agents:
             if mf.bundle_value(inst, a, lifted[a]) < \
                     mf.bundle_value(ordered, a, ordered_alloc[a]):

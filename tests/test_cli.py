@@ -298,6 +298,17 @@ def test_an_alpha_that_is_not_an_exact_rational_exits_2_naming_alpha(tmp_path, c
         assert err.startswith("error: alpha: "), (argv, err)
 
 
+def test_an_instance_with_dummy_goods_exits_2_on_solve_only(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps({"agents": 1, "goods": ["g1"], "dummies": ["x1"],
+                                     "valuations": {"0": {"g1": 1, "x1": 1}}}))
+    code, out, err = _run(capsys, "solve", "--input", str(inst_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: dummies: ") and "['x1']" in err
+    code, out, _ = _run(capsys, "mms", "--input", str(inst_file))
+    assert code == 0 and json.loads(out)["0"]["mms"] == "2/1"
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = _run(capsys, "solve", "--input", "/nonexistent.json")
     assert code == 2

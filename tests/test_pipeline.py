@@ -66,27 +66,28 @@ def test_alpha_choice_json_for_each_mode():
 
 def test_alpha_choice_checks_alpha_when_built_and_derives_delta():
     assert [f.name for f in dataclasses.fields(mf.AlphaChoice)] == [
-        "n_original", "alpha", "mode"]
-    choice = mf.AlphaChoice(n_original=3, alpha="7/9", mode="explicit")
+        "n_original", "alpha"]
+    choice = mf.AlphaChoice(n_original=3, alpha="7/9")
     assert type(choice.alpha) is Fraction and choice.alpha == Fraction(7, 9)
     assert choice.delta == Fraction(1, 36)
     for n, alpha in ((8, Fraction(7, 9)), (3, 0), (3, 5)):
         with pytest.raises(mf.ContractError, match="guarantee"):
-            mf.AlphaChoice(n_original=n, alpha=alpha, mode="explicit")
+            mf.AlphaChoice(n_original=n, alpha=alpha)
     for alpha in (0.75, True, "garbage"):
         with pytest.raises(mf.ValidationError, match="^alpha: "):
-            mf.AlphaChoice(n_original=3, alpha=alpha, mode="explicit")
+            mf.AlphaChoice(n_original=3, alpha=alpha)
 
 
-def test_alpha_choice_rejects_a_mode_that_misstates_its_alpha():
-    for alpha, mode in ((Fraction(3, 4), "improved"), (Fraction(7, 9), "classic"),
-                        (Fraction(2, 3), "banana"), (Fraction(3, 4), None)):
-        with pytest.raises(mf.ContractError, match=f"^mode {mode!r} does not state alpha "):
-            mf.AlphaChoice(n_original=3, alpha=alpha, mode=mode)
-    # the three modes alpha_for builds, "explicit" at any checked alpha
-    for alpha, mode in ((Fraction(3, 4), "classic"), (Fraction(7, 9), "improved"),
-                        (Fraction(3, 4), "explicit"), (Fraction(7, 9), "explicit")):
-        assert mf.AlphaChoice(n_original=3, alpha=alpha, mode=mode).mode == mode
+def test_alpha_choice_derives_its_mode_from_alpha():
+    assert mf.AlphaChoice(3, "7/9") == mf.alpha_for(3, "improved")
+    assert mf.AlphaChoice(8, "3/4") == mf.alpha_for(8, "classic")
+    for n, alpha, mode in ((3, "3/4", "classic"), (3, "7/9", "improved"),
+                           (7, "7/9", "improved"), (8, "24/31", "improved"),
+                           (8, "7/10", "explicit"), (3, "2/3", "explicit")):
+        assert mf.AlphaChoice(n, alpha).mode == mode
+        assert mf.alpha_for(n, alpha).mode == mode
+    with pytest.raises(TypeError):
+        mf.AlphaChoice(n_original=3, alpha="7/9", mode="improved")
 
 
 def test_no_solve_runs_above_the_bound_for_the_original_agent_count():
@@ -103,8 +104,7 @@ def test_no_solve_runs_above_the_bound_for_the_original_agent_count():
                                               value_bound=0, seed=4))
     for inst, alpha in ((peeled, Fraction(7, 9)), (all_zero, 5)):
         with pytest.raises(mf.ContractError, match="guarantee"):
-            mf.approx_mms(inst, mf.AlphaChoice(n_original=inst.n, alpha=alpha,
-                                               mode="explicit"))
+            mf.approx_mms(inst, mf.AlphaChoice(n_original=inst.n, alpha=alpha))
 
 
 def test_single_agent_takes_everything():
@@ -140,6 +140,15 @@ def test_alpha_choice_must_match_instance():
     inst = random_instance(3, 2, 5)
     with pytest.raises(mf.ContractError):
         mf.approx_mms(inst, mf.alpha_for(3))
+
+
+def test_an_instance_with_dummy_goods_is_not_solved():
+    # Dummies count toward every share but are never allocated, so no
+    # guarantee covers them; this instance once failed the final score check.
+    inst = mf.make_instance(1, ["g1"], {0: {"g1": 1, "x1": 1}}, dummies=["x1"])
+    with pytest.raises(mf.ContractError, match=r"^dummies: .* got \['x1'\]$"):
+        mf.approx_mms(inst, mf.alpha_for(1))
+    assert mf.instance_mms_values(inst) == {0: 2}
 
 
 def test_zero_share_agents_are_peeled():

@@ -26,7 +26,8 @@ ALPHA34 = Fraction(3, 4)
 def test_to_ordered_sorts_rows_and_preserves_multisets():
     for seed in range(15):
         inst = random_instance(seed, 3, 7)
-        ordered, mapping = mf.to_ordered(inst)
+        mapping = mf.to_ordered(inst)
+        ordered = mapping.ordered
         assert mf.is_ordered(ordered)
         for a in inst.agents:
             original = sorted(inst.valuations[a][g] for g in inst.goods)
@@ -37,7 +38,8 @@ def test_to_ordered_sorts_rows_and_preserves_multisets():
 
 def test_to_ordered_on_sorted_identical_rows_is_value_identity():
     inst = mf.gen_tight_example(3)
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     assert [ordered.valuations[0][g] for g in ordered.goods] == \
         [inst.valuations[0][g] for g in inst.goods]
     # ties break by position, so the permutation is the identity
@@ -47,7 +49,9 @@ def test_to_ordered_on_sorted_identical_rows_is_value_identity():
 def test_to_ordered_two_agent_example():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 1, "g2": 3}, 1: {"g1": 2, "g2": 2}})
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
+    assert mapping.original is inst
     assert [ordered.valuations[0][g] for g in ordered.goods] == [3, 1]
     assert [ordered.valuations[1][g] for g in ordered.goods] == [2, 2]
     assert mapping.by_agent[0] == ("g2", "g1")
@@ -59,7 +63,7 @@ def test_to_ordered_passes_dummies_through():
                             {0: {"g1": 1, "g2": 3, "d1": "1/2"},
                              1: {"g1": 2, "g2": 2, "d1": 0}},
                             dummies=["d1"])
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     assert ordered.dummies == ("d1",)
     assert ordered.valuations[0]["d1"] == Fraction(1, 2)
     assert ordered.valuations[1]["d1"] == 0
@@ -72,18 +76,19 @@ def test_to_ordered_renames_rank_ids_that_dummies_take():
         2, goods, {0: {"g1": 1, "g2": 4, "g3": 2, "r1": 1, "rr2": 1},
                    1: {"g1": 3, "g2": 1, "g3": 2, "r1": 0, "rr2": 2}},
         dummies=["r1", "rr2"])
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     assert ordered.goods == ("rrr1", "rrr2", "rrr3")
     assert ordered.dummies == ("r1", "rr2")
     assert sorted(mapping.by_agent[0]) == goods
-    choice = mf.alpha_for(inst.n)
-    report = mf.approx_mms(inst, choice)
-    assert mf.verify(inst, report.allocation, choice.alpha).passed
+    # approx_mms solves no instance with dummies
+    with pytest.raises(mf.ContractError, match=r"^dummies: .*\['r1', 'rr2'\]$"):
+        mf.approx_mms(inst, mf.alpha_for(inst.n))
 
 
 def test_to_ordered_translates_certificates():
     inst = mf.gen_tight_example(4)
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     assert ordered.certificates is not None
     values = mf.instance_mms_values(ordered)
     assert all(v == 1 for v in values.values())
@@ -121,7 +126,8 @@ def _ordered_by_fractions(instance):
 @settings(max_examples=60)
 @given(_hard_instance())
 def test_to_ordered_sorts_as_fractions_do(inst):
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     for a in inst.agents:
         row = inst.valuations[a]
         perm = tuple(sorted(inst.goods, key=row.__getitem__, reverse=True))
@@ -133,7 +139,7 @@ def test_to_ordered_sorts_as_fractions_do(inst):
 @settings(max_examples=60)
 @given(_hard_instance(), st.randoms(use_true_random=False))
 def test_is_ordered_agrees_with_fraction_comparisons(inst, rng):
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     assert mf.is_ordered(ordered) and _ordered_by_fractions(ordered)
     goods = list(inst.goods)
     rng.shuffle(goods)
@@ -145,9 +151,10 @@ def test_is_ordered_agrees_with_fraction_comparisons(inst, rng):
 @settings(max_examples=40)
 @given(_hard_instance(), st.randoms(use_true_random=False))
 def test_lift_ordered_never_lowers_a_bundle_value(inst, rng):
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     ordered_alloc = random_complete_allocation(rng, ordered)
-    lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+    lifted = mf.lift_ordered(mapping, ordered_alloc)
     for a in inst.agents:
         assert mf.bundle_value(inst, a, lifted[a]) >= \
             mf.bundle_value(ordered, a, ordered_alloc[a])
@@ -159,7 +166,7 @@ def test_ordering_and_validation_make_no_fraction_order_comparisons(monkeypatch)
     # timings, do not move with machine noise.
     inst = mf.gen_random(mf.GeneratorSpec("uniform-rational", n=3, m=9,
                                           value_bound=50, seed=4))
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     calls = []
     for name in ("__lt__", "__gt__", "__le__", "__ge__"):
         def counting(a, b, _real=getattr(Fraction, name)):
@@ -188,28 +195,31 @@ def test_ordering_and_validation_make_no_fraction_order_comparisons(monkeypatch)
 def test_lift_ordered_two_agent_example():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 1, "g2": 3}, 1: {"g1": 2, "g2": 2}})
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     ordered_alloc = {0: frozenset({ordered.goods[0]}),
                      1: frozenset({ordered.goods[1]})}
-    lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+    lifted = mf.lift_ordered(mapping, ordered_alloc)
     assert lifted[0] == frozenset({"g2"})
     assert lifted[1] == frozenset({"g1"})
 
 
 def test_lift_ordered_single_agent_gets_everything():
     inst = random_instance(3, 1, 5)
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     ordered_alloc = {0: frozenset(ordered.goods)}
-    lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+    lifted = mf.lift_ordered(mapping, ordered_alloc)
     assert lifted[0] == frozenset(inst.goods)
 
 
 def test_lift_ordered_identical_valuations_preserve_bundle_values():
     inst = mf.gen_tight_example(3)
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     rng = random.Random(2)
     ordered_alloc = random_complete_allocation(rng, ordered)
-    lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+    lifted = mf.lift_ordered(mapping, ordered_alloc)
     for a in inst.agents:
         assert mf.bundle_value(inst, a, lifted[a]) == \
             mf.bundle_value(ordered, a, ordered_alloc[a])
@@ -219,9 +229,10 @@ def test_lift_ordered_dominates_ordered_values():
     rng = random.Random(9)
     for seed in range(40):
         inst = random_instance(seed, rng.randint(1, 4), rng.randint(1, 9))
-        ordered, mapping = mf.to_ordered(inst)
+        mapping = mf.to_ordered(inst)
+        ordered = mapping.ordered
         ordered_alloc = random_complete_allocation(rng, ordered)
-        lifted = mf.lift_ordered(mapping, inst, ordered_alloc)
+        lifted = mf.lift_ordered(mapping, ordered_alloc)
         for a in inst.agents:
             assert mf.bundle_value(inst, a, lifted[a]) >= \
                 mf.bundle_value(ordered, a, ordered_alloc[a])
@@ -229,17 +240,18 @@ def test_lift_ordered_dominates_ordered_values():
 
 def test_lift_ordered_rejects_incomplete_input():
     inst = random_instance(4, 2, 4)
-    ordered, mapping = mf.to_ordered(inst)
+    mapping = mf.to_ordered(inst)
+    ordered = mapping.ordered
     partial = {0: frozenset({ordered.goods[0]}), 1: frozenset()}
     with pytest.raises(mf.ValidationError, match="unallocated"):
-        mf.lift_ordered(mapping, inst, partial)
+        mf.lift_ordered(mapping, partial)
     r1, r2, r3, r4 = ordered.goods
     shared = {0: frozenset({r1, r2}), 1: frozenset({r2, r3, r4})}
     with pytest.raises(mf.ValidationError, match="allocated twice"):
-        mf.lift_ordered(mapping, inst, shared)
+        mf.lift_ordered(mapping, shared)
     stranger = {0: frozenset({r1, r2}), 1: frozenset({r3, r4}), 2: frozenset()}
     with pytest.raises(mf.ValidationError, match="unknown agents"):
-        mf.lift_ordered(mapping, inst, stranger)
+        mf.lift_ordered(mapping, stranger)
 
 
 # --- normalization ----------------------------------------------------------
@@ -539,7 +551,7 @@ def test_reduce_fixpoint_on_irreducible_instance():
 def test_reduce_log_shorter_than_agent_count_and_replayable():
     for seed in range(12):
         inst = random_instance(seed, 4, 9, bound=25)
-        ordered, _ = mf.to_ordered(inst)
+        ordered = mf.to_ordered(inst).ordered
         log = mf.reduce(ordered, ALPHA34, mf.instance_mms_all(ordered))
         assert len(log.records) < ordered.n
         replayed = replay_log(log)
@@ -550,7 +562,7 @@ def test_reduce_log_shorter_than_agent_count_and_replayable():
 
 def test_lift_reductions_empty_log_is_identity():
     inst = random_instance(21, 2, 5)
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     log = mf.ReductionLog(records=(), initial=ordered, final=ordered)
     rng = random.Random(0)
     sub = random_complete_allocation(rng, ordered)
@@ -572,7 +584,7 @@ def test_lift_reductions_reinstates_rule1_agent():
 
 def test_lift_reductions_full_chain_single_survivor():
     inst = mf.gen_tight_example(4)
-    ordered, _ = mf.to_ordered(inst)
+    ordered = mf.to_ordered(inst).ordered
     log = mf.reduce(ordered, mf.alpha_limit(4), mf.instance_mms_all(ordered))
     if log.final.n == 1:
         survivor = log.final.agents[0]
