@@ -24,7 +24,6 @@ from .core import (
 )
 from .errors import (
     CapacityError,
-    ContractError,
     InternalInvariantError,
     MmsfairError,
     ValidationError,
@@ -66,7 +65,6 @@ __all__ = [
     "BagFillRun",
     "Bundle",
     "CapacityError",
-    "ContractError",
     "GeneratorSpec",
     "Instance",
     "InternalInvariantError",

@@ -25,7 +25,7 @@ from .core import (
     parse_field,
     validate_allocation,
 )
-from .errors import ContractError
+from .errors import ValidationError
 from .transforms import is_ordered
 
 
@@ -67,15 +67,16 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
 
     ``alpha`` is read by ``parse_field``, so a negative, float or bool one
     raises ValidationError naming ``alpha``, as do agents out of the order
-    ``check_agents`` requires, naming ``agents``.
+    ``check_agents`` requires, naming ``agents``, an instance that is not
+    ordered, and one with fewer than 2n real goods.
     """
     check_agents(instance)
     alpha = parse_field(alpha, "alpha")
     if not is_ordered(instance):
-        raise ContractError("bag filling requires an ordered instance")
+        raise ValidationError("bag filling requires an ordered instance")
     n, m = instance.n, instance.m
     if m < 2 * n:
-        raise ContractError(f"bag filling needs at least {2 * n} real goods, have {m}")
+        raise ValidationError(f"bag filling needs at least {2 * n} real goods, have {m}")
     goods = instance.goods
     bags = [[goods[k - 1], goods[2 * n - k]] for k in range(1, n + 1)]
     sums = {a: [instance.value(a, bags[k][0]) + instance.value(a, bags[k][1])
@@ -123,11 +124,11 @@ def run_bag_fill(instance: Instance, alpha: Value) -> BagFillRun:
 def complete_allocation(instance: Instance, bundles: dict) -> dict:
     """Hand each leftover real good to the agent who values it most.
 
-    Ties go to the lowest agent id.  ``bundles`` must be keyed by exactly
-    the instance's agents (``check_shares``, ContractError); nobody's
-    value decreases.  The result is validated, so bundles
-    that share a good or hold a dummy or unknown id raise ValidationError,
-    as do agents out of the order ``check_agents`` requires.
+    Ties go to the lowest agent id; nobody's value decreases.  The result
+    is validated, so bundles that share a good or hold a dummy or unknown
+    id raise ValidationError, as do bundles not keyed by exactly the
+    instance's agents (``check_shares``) and agents out of the order
+    ``check_agents`` requires.
     """
     check_agents(instance)
     check_shares(instance, bundles, "bundles")

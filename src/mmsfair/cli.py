@@ -7,9 +7,10 @@ Commands:
   gen     -- emit a tight or random instance as JSON
   bench   -- solve a batch of seeded random instances on one thread
 
-Exit codes: 0 success, 2 invalid input, 3 exact search over the good limit
-or out of memory or stack, 4 internal invariant violation (diagnostics are
-dumped to stderr).
+Exit codes, one per error class: 0 success, 2 invalid input
+(ValidationError, or an unreadable file), 3 exact search over the good
+limit or out of memory or stack (CapacityError), 4 internal invariant
+violation (InternalInvariantError; diagnostics are dumped to stderr).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
 )
 from .errors import (
     CapacityError,
-    ContractError,
     InternalInvariantError,
     ValidationError,
 )
@@ -126,7 +126,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     if args.suite != "random":
         raise ValidationError(f"unknown suite {args.suite!r}")
-    check_count(args.count, "--count", 1, ValidationError)
+    check_count(args.count, "--count", 1)
     grid = [(n, m) for n in (2, 3, 4) for m in range(n, 13)]
 
     # approx_mms scores its allocation through verify against the oracle's
@@ -225,9 +225,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         # gen has no --max-goods
-        check_count(getattr(args, "max_goods", 0), "--max-goods", 0, ValidationError)
+        check_count(getattr(args, "max_goods", 0), "--max-goods", 0)
         return args.func(args)
-    except (ValidationError, ContractError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 
 Value = Fraction
 Bundle = frozenset  # of good ids (str)
@@ -178,7 +178,7 @@ class Instance:
         call returns a new instance without certificates, since they pin
         a partition of all goods into n cells.  An agent or real good the
         instance does not hold, a dummy id it already holds, or dummy
-        values not keyed by exactly the survivors raise ContractError
+        values not keyed by exactly the survivors raise ValidationError
         naming the ids.  Each dummy value is read by ``parse_field``, as
         the field ``dummy[agent]``.
         """
@@ -187,16 +187,16 @@ class Instance:
             return self
         unknown = agents.difference(self.agents)
         if unknown:
-            raise ContractError(f"without: unknown agents {sorted(map(str, unknown))}")
+            raise ValidationError(f"without: unknown agents {sorted(map(str, unknown))}")
         unknown = goods.difference(self.goods)
         if unknown:
-            raise ContractError(f"without: not real goods {sorted(map(str, unknown))}")
+            raise ValidationError(f"without: not real goods {sorted(map(str, unknown))}")
         survivors = tuple(a for a in self.agents if a not in agents)
         if dummy is not None:
             if dummy[0] in self.good_position:
-                raise ContractError(f"without: dummy id {dummy[0]!r} is taken")
+                raise ValidationError(f"without: dummy id {dummy[0]!r} is taken")
             if dummy[1].keys() != set(survivors):
-                raise ContractError(
+                raise ValidationError(
                     f"without: dummy values given for agents {sorted(map(str, dummy[1]))}, "
                     f"but the survivors are {list(survivors)}")
             dummy_values = {a: parse_field(v, f"dummy[{a}]") for a, v in dummy[1].items()}
@@ -254,7 +254,7 @@ def make_instance(
     anything is built, so a huge count costs nothing.
     ``validate_instance`` checks the rest.
     """
-    check_count(n, "agents", 0, ValidationError)
+    check_count(n, "agents", 0)
     goods, dummies = _ids(goods, "goods"), _ids(dummies, "dummies")
     if not isinstance(valuations, Mapping):
         raise ValidationError(f"valuations: must be a mapping, got {type(valuations).__name__}")
@@ -322,13 +322,13 @@ def certificate_value(row: Mapping, cells: Sequence, parts: int, goods: Iterable
     return values.pop()
 
 
-def check_count(value, field: str, least: int, error: type) -> None:
+def check_count(value, field: str, least: int) -> None:
     """Check that a count is an int (not a bool) of at least ``least``;
-    anything else raises ``error`` naming ``field``."""
+    anything else raises ValidationError naming ``field``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{field} must be an int, got {value!r}")
+        raise ValidationError(f"{field} must be an int, got {value!r}")
     if value < least:
-        raise error(f"{field} must be at least {least}, got {value}")
+        raise ValidationError(f"{field} must be at least {least}, got {value}")
 
 
 def check_agents(instance: Instance) -> None:
@@ -390,10 +390,10 @@ def validate_instance(instance: Instance) -> None:
 
 def check_shares(instance: Instance, table: Mapping, field: str) -> None:
     """Check that an agent-keyed table (shares, bundles) is keyed by
-    exactly the instance's agents; any other raises ContractError naming
+    exactly the instance's agents; any other raises ValidationError naming
     ``field``."""
     if set(table) != set(instance.agents):
-        raise ContractError(
+        raise ValidationError(
             f"{field}: given for agents {sorted(map(str, table))}, "
             f"but the instance has agents {list(instance.agents)}")
 
@@ -455,10 +455,10 @@ def instance_to_json(instance: Instance) -> dict:
     """The instance as a JSON document; its agents must be 0..n-1.
 
     The schema declares agents by count, so any other ids could not be
-    read back and raise ContractError.
+    read back and raise ValidationError.
     """
     if instance.agents != tuple(range(instance.n)):
-        raise ContractError(
+        raise ValidationError(
             f"instance JSON needs agent ids 0..{instance.n - 1}, "
             f"got {list(instance.agents)}")
     doc = {

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all mmsfair modules.
 
-The CLI maps these onto exit codes: validation problems exit 2, the
-oracle's good limit exits 3, and internal invariant violations exit 4.
+Each class below MmsfairError is one CLI exit code: ValidationError
+exits 2, CapacityError 3 and InternalInvariantError 4.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ class MmsfairError(Exception):
 
 
 class ValidationError(MmsfairError):
-    """Malformed input data: bad shapes, negative values, unknown ids."""
-
-
-class ContractError(MmsfairError):
-    """A documented precondition of an operation was violated by the caller."""
+    """Input the caller can fix: malformed data (bad shapes, negative
+    values, unknown ids) or an argument outside an operation's documented
+    preconditions."""
 
 
 class CapacityError(MmsfairError):

@@ -32,7 +32,7 @@ from .core import (
     parse_field,
     validate_allocation,
 )
-from .errors import ContractError
+from .errors import ValidationError
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_values
 
 
@@ -56,9 +56,9 @@ def gen_tight_example(n: int) -> Instance:
     Good j is worth (2n-1 - floor((j-1)/2)) / (4n-2) for j <= 2n and
     n/(4n-2) beyond; all agents agree.  Carries the equal-valued
     partition certificate, so each agent's maximin share is exactly 1.
-    An ``n`` that is not an int of at least 2 raises ContractError.
+    An ``n`` that is not an int of at least 2 raises ValidationError.
     """
-    check_count(n, "n", 2, ContractError)
+    check_count(n, "n", 2)
     denom = 4 * n - 2
     goods = [f"g{j}" for j in range(1, 3 * n)]
     values = {}
@@ -81,16 +81,19 @@ def gen_random(spec: GeneratorSpec) -> Instance:
     uniform-int draws values in [0, bound]; uniform-rational draws p/q
     with p in [0, bound] and q in [1, bound].  Draws go agent by agent,
     good by good, so the same spec always yields the same instance.
-    A spec of another kind, or whose ``n``, ``m`` or ``value_bound`` is not
-    an int of at least 1, 0 or 0 (1 for uniform-rational), raises
-    ContractError.
+    A spec of another kind, or whose ``n``, ``m``, ``value_bound`` or
+    ``seed`` is not an int of at least 1, 0, 0 (1 for uniform-rational) or
+    0, raises ValidationError.  The seed check keeps the seed the one
+    source of the draws: ``random.Random`` would draw afresh from None and
+    alike for -s and s.
     """
     if spec.kind not in ("uniform-int", "uniform-rational"):
-        raise ContractError(f"gen_random cannot generate kind {spec.kind!r}")
-    check_count(spec.n, "n", 1, ContractError)
-    check_count(spec.m, "m", 0, ContractError)
+        raise ValidationError(f"gen_random cannot generate kind {spec.kind!r}")
+    check_count(spec.n, "n", 1)
+    check_count(spec.m, "m", 0)
     bound = spec.value_bound
-    check_count(bound, "value_bound", 1 if spec.kind == "uniform-rational" else 0, ContractError)
+    check_count(bound, "value_bound", 1 if spec.kind == "uniform-rational" else 0)
+    check_count(spec.seed, "seed", 0)
     rng = random.Random(spec.seed)
     goods = [f"g{j}" for j in range(1, spec.m + 1)]
     valuations = {}
@@ -151,8 +154,8 @@ def verify(
 
     ``alpha`` and every share are read by ``parse_field``, so a negative,
     float or bool one raises ValidationError naming ``alpha`` or
-    ``mms_values[a]``.  A table not keyed by exactly the instance's agents
-    raises ContractError (``check_shares``).
+    ``mms_values[a]``, as does a table not keyed by exactly the instance's
+    agents (``check_shares``).
     """
     validate_allocation(instance, allocation)
     alpha = parse_field(alpha, "alpha")

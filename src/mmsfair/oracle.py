@@ -47,7 +47,7 @@ from .core import (
     scaled_ratios,
 )
 from .core import validate_allocation  # noqa: F401  unused; mmsbench's tracer wraps it here
-from .errors import CapacityError, ContractError, InternalInvariantError, ValidationError
+from .errors import CapacityError, InternalInvariantError, ValidationError
 
 DEFAULT_MAX_GOODS = 20
 
@@ -357,11 +357,11 @@ def mms(
     ``_ids`` (a set's ids sorted).  ``valuation`` maps good id -> a
     non-negative int or Fraction (not a bool); any other value, a missing
     good or any other ``good_set`` raises ValidationError, as does a
-    ``max_goods`` that is not a non-negative int, certificate or not; a
-    ``parts`` that is not a positive int (a bool is not one) raises
-    ContractError.  When fewer goods than parts have positive value the
-    value is 0, and a searched partition has one positive good per cell
-    and the zero goods in cell 0.  A search over more than ``max_goods``
+    ``max_goods`` that is not a non-negative int, certificate or not, or a
+    ``parts`` that is not a positive int (a bool is not one).  When fewer
+    goods than parts have positive value the value is 0, and a searched
+    partition has one positive good per cell and the zero goods in cell 0.
+    A search over more than ``max_goods``
     goods raises CapacityError, as does a search that recurses past the
     stack (a cell of about a thousand goods); the good count is the only
     limit, whatever the part count.  An equal-valued
@@ -371,8 +371,8 @@ def mms(
     result's partition is the packing its search ends on, mapped to goods
     on its first read.
     """
-    check_count(parts, "parts", 1, ContractError)
-    check_count(max_goods, "max_goods", 0, ValidationError)
+    check_count(parts, "parts", 1)
+    check_count(max_goods, "max_goods", 0)
     goods = _ids(good_set, "good_set")
     ratios = _checked_ratios(valuation, goods)
     if certificate is not None:

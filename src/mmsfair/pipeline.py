@@ -28,7 +28,7 @@ from .core import (
     format_value,
     validate_instance,
 )
-from .errors import ContractError, InternalInvariantError
+from .errors import InternalInvariantError, ValidationError
 from .harness import per_agent_json, verify
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_all, instance_mms_values
 from .transforms import (
@@ -51,11 +51,10 @@ class AlphaChoice:
 
     It is checked when built: ``alpha`` goes through ``check_alpha`` for
     ``n_original`` and is stored as the Fraction read, so a hand-built
-    choice above the proven bound, or at most 0, raises ContractError, and
-    one that is not an exact rational raises ValidationError naming
-    ``alpha``.  ``mode`` and ``delta``, the excess over 3/4, are derived
-    from alpha: "classic" at 3/4, "improved" at ``alpha_limit(n_original)``,
-    "explicit" at any other alpha.
+    choice above the proven bound, at most 0, or not an exact rational
+    raises ValidationError naming ``alpha``.  ``mode`` and ``delta``, the
+    excess over 3/4, are derived from alpha: "classic" at 3/4, "improved"
+    at ``alpha_limit(n_original)``, "explicit" at any other alpha.
     """
 
     n_original: int
@@ -88,9 +87,9 @@ def alpha_for(n: int, mode: Union[str, Value] = "improved") -> AlphaChoice:
 
     Modes: "classic" gives 3/4; "improved" gives 3/4 + min(1/36, 3/(16n-4));
     anything else is an explicit rational.  ``AlphaChoice`` checks the
-    result, so an explicit value outside (0, improved bound] raises
-    ContractError (no guarantee would hold above) and one that is not an
-    exact rational raises ValidationError naming ``alpha``.
+    result, so an explicit value outside (0, improved bound] (no guarantee
+    would hold above) or not an exact rational raises ValidationError
+    naming ``alpha``.
     """
     if mode == "classic":
         return AlphaChoice(n_original=n, alpha=CLASSIC_ALPHA)
@@ -150,17 +149,18 @@ def approx_mms(
 
     The instance must have no dummy goods: they count toward every share
     but are never allocated, so the guarantee does not cover them, and one
-    raises ContractError naming ``dummies``.  Raises CapacityError if an
-    exact maximin computation would exceed the configured search limit,
-    and InternalInvariantError (with the logs attached) if any
+    raises ValidationError naming ``dummies``.  A ``choice`` made for
+    another agent count raises ValidationError too.  Raises CapacityError
+    if an exact maximin computation would exceed the configured search
+    limit, and InternalInvariantError (with the logs attached) if any
     by-construction guarantee fails at runtime.
     """
     validate_instance(instance)
     if instance.dummies:
-        raise ContractError("dummies: approx_mms solves instances without dummy "
-                            f"goods, got {list(instance.dummies)}")
+        raise ValidationError("dummies: approx_mms solves instances without dummy "
+                              f"goods, got {list(instance.dummies)}")
     if choice.n_original != instance.n:
-        raise ContractError(
+        raise ValidationError(
             f"alpha was chosen for {choice.n_original} agents but the "
             f"instance has {instance.n}")
     alpha = choice.alpha

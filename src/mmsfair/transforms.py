@@ -42,7 +42,7 @@ from .core import (
     scaled,
     validate_allocation,
 )
-from .errors import ContractError, InternalInvariantError
+from .errors import InternalInvariantError, ValidationError
 from .oracle import DEFAULT_MAX_GOODS, instance_mms_all
 
 RULES = (1, 2, 3, 4)
@@ -60,12 +60,12 @@ def alpha_limit(n: int) -> Fraction:
     above.
 
     ``n`` must be an int (not a bool) of at least 1; anything else raises
-    ContractError naming it.
+    ValidationError naming it.
 
     >>> alpha_limit(3), alpha_limit(8)
     (Fraction(7, 9), Fraction(24, 31))
     """
-    check_count(n, "agent count", 1, ContractError)
+    check_count(n, "agent count", 1)
     # 3/(16n-4) <= 1/36 exactly when n >= 7, and 3/4 + 3/(16n-4) = 3n/(4n-1).
     return _ALPHA_UP_TO_7 if n <= 7 else Fraction(3 * n, 4 * n - 1)
 
@@ -74,14 +74,13 @@ def check_alpha(alpha, n: int) -> Fraction:
     """Read a solve threshold for ``n`` agents and return it as a Fraction.
 
     ``alpha`` is read by ``parse_field``, so a float, bool or malformed one
-    raises ValidationError naming ``alpha``; one outside
-    (0, ``alpha_limit(n)``] raises ContractError, since no guarantee holds
-    there.
+    raises ValidationError naming ``alpha``, as does one outside
+    (0, ``alpha_limit(n)``], since no guarantee holds there.
     """
     bound = alpha_limit(n)
     alpha = parse_field(alpha, "alpha")
     if not (0 < alpha <= bound):
-        raise ContractError(
+        raise ValidationError(
             f"alpha {alpha} is outside (0, {bound}] for n={n}; "
             f"the allocation guarantee only holds up to {bound}")
     return alpha
@@ -193,11 +192,11 @@ def normalize(instance: Instance, shares: Mapping) -> Instance:
     Each agent's values are divided cell-wise by the cell values of their
     maximin partition, which becomes the output's certificate (every cell
     then worth exactly 1).  The table must be keyed by exactly the
-    instance's agents (``check_shares``, ContractError), and each partition
-    must split goods + dummies into n cells (``partition_values``,
-    ValidationError).  Requires every share to be positive (peel zero-share
-    agents first): a smallest cell other than the share, or an empty or
-    zero-value cell, raises ContractError.
+    instance's agents (``check_shares``), and each partition must split
+    goods + dummies into n cells (``partition_values``).  Requires every
+    share to be positive (peel zero-share agents first): a smallest cell
+    other than the share, or an empty or zero-value cell, is rejected too.
+    Each failure raises ValidationError.
     """
     check_shares(instance, shares, "shares")
     valuations = {}
@@ -208,13 +207,13 @@ def normalize(instance: Instance, shares: Mapping) -> Instance:
         cell_values = partition_values(row, partition, instance.n, instance.all_goods,
                                        f"shares[{a}].partition")
         if min(cell_values) != shares[a].value:
-            raise ContractError(
+            raise ValidationError(
                 f"agent {a}: maximin partition's smallest cell is "
                 f"{min(cell_values)}, not the share {shares[a].value}")
         new_row = {}
         for cell, cell_value in zip(partition, cell_values):
             if not cell or cell_value == 0:
-                raise ContractError(
+                raise ValidationError(
                     f"agent {a} has an empty or zero-value maximin cell; "
                     "remove zero-share agents before normalizing")
             for g in cell:
@@ -232,10 +231,11 @@ def rule_bundle(instance: Instance, k: int) -> tuple:
     With n agents and goods ranked by value: rule 1 takes the top good,
     rule 2 the pair at ranks n and n+1, rule 3 the triple at ranks
     2n-1..2n+1, rule 4 the top good plus rank 2n+1.  Ranks count real
-    goods only.
+    goods only.  A ``k`` that is not an int in ``RULES`` (a bool is not
+    one) raises ValidationError.
     """
-    if k not in RULES:
-        raise ContractError(f"rule index must be in {RULES}, got {k}")
+    if type(k) is not int or k not in RULES:
+        raise ValidationError(f"rule index must be in {RULES}, got {k}")
     n, m, gs = instance.n, instance.m, instance.goods
     if k == 1:
         return tuple(gs[:1])
@@ -251,10 +251,11 @@ def rule_target(instance: Instance, alpha: Value, k: int,
     """Lowest-id agent valuing rule k's bundle at >= alpha times their MMS.
 
     ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ContractError.  Its values
+    (``check_shares``); any other table raises ValidationError.  Its values
     are compared as given: ``apply_reduction`` reads them through
     ``parse_field`` first.  Agents out of the order ``check_agents``
-    requires raise ValidationError.  Returns None when no agent qualifies
+    requires, or a ``k`` that ``rule_bundle`` rejects, raise
+    ValidationError.  Returns None when no agent qualifies
     (the instance is rule-k irreducible at this threshold).
     """
     check_agents(instance)
@@ -319,7 +320,7 @@ def apply_reduction(instance: Instance, alpha: Value,
     survivor j.  Returns (new instance, ReductionRecord).  The new
     instance is built by ``Instance.without``, which drops certificates.
     ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ContractError.  ``alpha``
+    (``check_shares``); any other table raises ValidationError.  ``alpha``
     and each share are read by ``parse_field``, so a negative, float or
     bool one raises ValidationError naming ``alpha`` or ``mms_values[a]``.
     """
@@ -364,10 +365,11 @@ def reduce(
     survivor's share shrinking below the value the reduction used would
     break the reduction's validity and raises InternalInvariantError.
     ``alpha`` must pass ``check_alpha`` for this instance's agent count
-    (ValidationError or ContractError naming ``alpha``).
+    (ValidationError naming ``alpha``), and the instance must be ordered
+    (``is_ordered``; any other raises ValidationError).
     """
     if not is_ordered(instance):
-        raise ContractError("reduce requires an ordered instance")
+        raise ValidationError("reduce requires an ordered instance")
     alpha = check_alpha(alpha, instance.n)
     check_shares(instance, shares, "shares")
     records = []

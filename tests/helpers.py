@@ -37,7 +37,7 @@ def mms_naive(valuation, parts, good_set) -> mf.MmsResult:
     solely to cross-check ``mf.mms``, and reads its good set and checks its
     values through the package's own readers, as ``mf.mms`` does.
     """
-    check_count(parts, "parts", 1, mf.ContractError)
+    check_count(parts, "parts", 1)
     goods = _ids(good_set, "good_set")
     if len(goods) > 10 or parts > 4:
         raise mf.CapacityError("mms_naive is limited to 10 goods / 4 parts")

@@ -45,10 +45,10 @@ def test_single_agent_bag():
 def test_contract_errors():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 2, "g3": 1} for a in range(2)})
-    with pytest.raises(mf.ContractError, match="at least"):
+    with pytest.raises(mf.ValidationError, match="at least"):
         mf.run_bag_fill(inst, Fraction(3, 4))  # 3 goods < 2n
     unordered = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
-    with pytest.raises(mf.ContractError, match="ordered"):
+    with pytest.raises(mf.ValidationError, match="ordered"):
         mf.run_bag_fill(unordered, Fraction(3, 4))
 
 
@@ -161,7 +161,8 @@ def test_complete_allocation_rejects_agents_out_of_order():
 
 def test_complete_allocation_requires_bundles_for_everyone():
     inst = random_instance(6, 2, 4)
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^bundles: given for agents \['0'\], "
+                                                 r"but the instance has agents \[0, 1\]$"):
         mf.complete_allocation(inst, {0: frozenset()})
 
 

@@ -491,6 +491,15 @@ def test_gen_random_with_no_agents_exits_2(capsys):
     assert err == "error: n must be at least 1, got 0\n"
 
 
+def test_a_negative_seed_exits_2(capsys):
+    # random.Random draws alike for -s and s, so a negative seed would
+    # repeat another seed's instances under a new id.
+    for argv in (("gen", "random", "--n", "2", "--m", "3", "--bound", "5"),
+                 ("bench", "--count", "1")):
+        code, out, err = _run(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be at least 0, got -1\n")
+
+
 def test_bench_rejects_unknown_suite(capsys):
     code, _, _ = _run(capsys, "bench", "--suite", "exotic",
                       "--count", "1", "--seed", "1")

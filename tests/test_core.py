@@ -189,7 +189,7 @@ def test_instance_json_certificates_roundtrip():
 
 def test_instance_to_json_rejects_agent_ids_it_cannot_read_back():
     inst = mf.make_instance(3, ["g1"], {a: {"g1": 1} for a in range(3)})
-    with pytest.raises(mf.ContractError, match=r"\[1, 2\]"):
+    with pytest.raises(mf.ValidationError, match=r"\[1, 2\]"):
         mf.instance_to_json(inst.without(agents=(0,)))
 
 
@@ -204,7 +204,7 @@ def test_without_rejects_ids_it_does_not_hold():
              (dict(dummy=("d2", {0: 1})),
               r"^without: dummy values given for agents \['0'\], but the survivors are \[0, 1\]$")]
     for kwargs, message in cases:
-        with pytest.raises(mf.ContractError, match=message):
+        with pytest.raises(mf.ValidationError, match=message):
             inst.without(**kwargs)
 
 
@@ -227,29 +227,28 @@ def _main_on(monkeypatch, capsys, args):
     return cli.main([]), capsys.readouterr().err
 
 
-# Every entry that reads a count: (field, least, class raised, call with the
-# count).  A CLI flag's call gives the parsed arguments that main runs on:
-# argparse reads the flags as ints, so main is handed the other values here.
+# Every entry that reads a count: (field, least, call with the count).  A
+# CLI flag's call gives the parsed arguments that main runs on: argparse
+# reads the flags as ints, so main is handed the other values here.
 COUNT_ENTRIES = {
-    "mms parts": ("parts", 1, mf.ContractError, lambda v: mf.mms({"g1": 1}, v, ["g1"])),
-    "mms max_goods": ("max_goods", 0, mf.ValidationError,
-                      lambda v: mf.mms({}, 1, [], max_goods=v)),
-    "alpha_limit": ("agent count", 1, mf.ContractError, mf.alpha_limit),
-    "gen_tight_example": ("n", 2, mf.ContractError, mf.gen_tight_example),
-    "gen_random n": ("n", 1, mf.ContractError,
-                     lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=v))),
-    "gen_random m": ("m", 0, mf.ContractError,
+    "mms parts": ("parts", 1, lambda v: mf.mms({"g1": 1}, v, ["g1"])),
+    "mms max_goods": ("max_goods", 0, lambda v: mf.mms({}, 1, [], max_goods=v)),
+    "alpha_limit": ("agent count", 1, mf.alpha_limit),
+    "gen_tight_example": ("n", 2, mf.gen_tight_example),
+    "gen_random n": ("n", 1, lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=v))),
+    "gen_random m": ("m", 0,
                      lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=1, m=v))),
     "gen_random uniform-int value_bound": (
-        "value_bound", 0, mf.ContractError,
+        "value_bound", 0,
         lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=1, value_bound=v))),
     "gen_random uniform-rational value_bound": (
-        "value_bound", 1, mf.ContractError,
+        "value_bound", 1,
         lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-rational", n=1, value_bound=v))),
-    "make_instance": ("agents", 0, mf.ValidationError, lambda v: mf.make_instance(v, [], {})),
-    "cli --max-goods": ("--max-goods", 0, mf.ValidationError,
-                        lambda v: dict(max_goods=v, func=lambda args: 0)),
-    "cli --count": ("--count", 1, mf.ValidationError,
+    "gen_random seed": ("seed", 0,
+                        lambda v: mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=1, seed=v))),
+    "make_instance": ("agents", 0, lambda v: mf.make_instance(v, [], {})),
+    "cli --max-goods": ("--max-goods", 0, lambda v: dict(max_goods=v, func=lambda args: 0)),
+    "cli --count": ("--count", 1,
                     lambda v: dict(func=cli._cmd_bench, suite="random", count=v, seed=1,
                                    max_goods=20, output=os.devnull)),
 }
@@ -257,16 +256,16 @@ COUNT_ENTRIES = {
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_every_count_entry_checks_its_count(entry, monkeypatch, capsys):
-    field, least, error, call = COUNT_ENTRIES[entry]
+    field, least, call = COUNT_ENTRIES[entry]
     bad = [(v, f"{field} must be an int, got {v!r}") for v in (True, 1.0, "1", None)]
     bad.append((least - 1, f"{field} must be at least {least}, got {least - 1}"))
     for value, message in bad:
         if field.startswith("--"):
             assert _main_on(monkeypatch, capsys, call(value)) == (2, f"error: {message}\n")
             continue
-        with pytest.raises(error) as info:
+        with pytest.raises(mf.ValidationError) as info:
             call(value)
-        assert type(info.value) is error and str(info.value) == message
+        assert type(info.value) is mf.ValidationError and str(info.value) == message
     if field.startswith("--"):
         assert _main_on(monkeypatch, capsys, call(least)) == (0, "")
     else:

@@ -34,11 +34,11 @@ def test_tight_example_certificate_cells_sum_to_one():
 
 
 def test_tight_example_rejects_small_n():
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^n must be at least 2, got 1$"):
         mf.gen_tight_example(1)
     # A count that is not an int is a caller's error, not a bare TypeError.
     for n in (2.0, "3", True, None):
-        with pytest.raises(mf.ContractError, match=r"^n must be an int, got "):
+        with pytest.raises(mf.ValidationError, match=r"^n must be an int, got "):
             mf.gen_tight_example(n)
 
 
@@ -87,7 +87,7 @@ def test_gen_random_rejects_what_it_cannot_generate():
              (dict(kind="uniform-int", n=2, m=False, value_bound=5),
               r"^m must be an int, got False$")]
     for spec, message in cases:
-        with pytest.raises(mf.ContractError, match=message):
+        with pytest.raises(mf.ValidationError, match=message):
             mf.gen_random(mf.GeneratorSpec(seed=1, **spec))
 
 
@@ -189,5 +189,5 @@ def test_verify_rejects_a_malformed_share(share):
 @pytest.mark.parametrize("table", [{0: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, "1": 1}])
 def test_verify_rejects_a_share_table_for_other_agents(table):
     inst, alloc = _two_agent_case()
-    with pytest.raises(mf.ContractError, match=r"^mms_values: "):
+    with pytest.raises(mf.ValidationError, match=r"^mms_values: "):
         mf.verify(inst, alloc, Fraction(3, 4), mms_values=table)

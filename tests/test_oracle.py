@@ -149,7 +149,7 @@ def test_mms_rejects_parts_and_max_goods_that_are_not_ints():
     vals = {"a": 1, "b": 2}
     for parts in (2.0, "2", None, True, 0):
         for oracle_fn in (mf.mms, mms_naive):
-            with pytest.raises(mf.ContractError, match="parts"):
+            with pytest.raises(mf.ValidationError, match="parts"):
                 oracle_fn(vals, parts, ["a", "b"])
     for max_goods in (None, True, 20.5, "20", -1):
         with pytest.raises(mf.ValidationError, match="max_goods"):

@@ -44,11 +44,11 @@ def test_alpha_for_explicit():
 
 
 def test_alpha_for_rejects_bad_values():
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^alpha 9/10 is outside \(0, 7/9\] for n=4;"):
         mf.alpha_for(4, "9/10")  # above the proven bound
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^alpha 0 is outside \(0, 7/9\] for n=4;"):
         mf.alpha_for(4, "0/1")
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^agent count must be at least 1, got 0$"):
         mf.alpha_for(0, "improved")
     for negative in ("-1/2", Fraction(-1, 2)):
         with pytest.raises(mf.ValidationError):
@@ -71,7 +71,7 @@ def test_alpha_choice_checks_alpha_when_built_and_derives_delta():
     assert type(choice.alpha) is Fraction and choice.alpha == Fraction(7, 9)
     assert choice.delta == Fraction(1, 36)
     for n, alpha in ((8, Fraction(7, 9)), (3, 0), (3, 5)):
-        with pytest.raises(mf.ContractError, match="guarantee"):
+        with pytest.raises(mf.ValidationError, match="guarantee"):
             mf.AlphaChoice(n_original=n, alpha=alpha)
     for alpha in (0.75, True, "garbage"):
         with pytest.raises(mf.ValidationError, match="^alpha: "):
@@ -103,7 +103,7 @@ def test_no_solve_runs_above_the_bound_for_the_original_agent_count():
     all_zero = mf.gen_random(mf.GeneratorSpec(kind="uniform-int", n=3, m=4,
                                               value_bound=0, seed=4))
     for inst, alpha in ((peeled, Fraction(7, 9)), (all_zero, 5)):
-        with pytest.raises(mf.ContractError, match="guarantee"):
+        with pytest.raises(mf.ValidationError, match="guarantee"):
             mf.approx_mms(inst, mf.AlphaChoice(n_original=inst.n, alpha=alpha))
 
 
@@ -138,7 +138,8 @@ def test_classic_and_explicit_modes():
 
 def test_alpha_choice_must_match_instance():
     inst = random_instance(3, 2, 5)
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError,
+                       match=r"^alpha was chosen for 3 agents but the instance has 2$"):
         mf.approx_mms(inst, mf.alpha_for(3))
 
 
@@ -146,7 +147,7 @@ def test_an_instance_with_dummy_goods_is_not_solved():
     # Dummies count toward every share but are never allocated, so no
     # guarantee covers them; this instance once failed the final score check.
     inst = mf.make_instance(1, ["g1"], {0: {"g1": 1, "x1": 1}}, dummies=["x1"])
-    with pytest.raises(mf.ContractError, match=r"^dummies: .* got \['x1'\]$"):
+    with pytest.raises(mf.ValidationError, match=r"^dummies: .* got \['x1'\]$"):
         mf.approx_mms(inst, mf.alpha_for(1))
     assert mf.instance_mms_values(inst) == {0: 2}
 

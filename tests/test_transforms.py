@@ -82,7 +82,7 @@ def test_to_ordered_renames_rank_ids_that_dummies_take():
     assert ordered.dummies == ("r1", "rr2")
     assert sorted(mapping.by_agent[0]) == goods
     # approx_mms solves no instance with dummies
-    with pytest.raises(mf.ContractError, match=r"^dummies: .*\['r1', 'rr2'\]$"):
+    with pytest.raises(mf.ValidationError, match=r"^dummies: .*\['r1', 'rr2'\]$"):
         mf.approx_mms(inst, mf.alpha_for(inst.n))
 
 
@@ -307,7 +307,8 @@ def test_normalize_never_raises_value_to_share_ratio():
 def test_normalize_rejects_zero_share_agents():
     inst = mf.make_instance(2, ["g1", "g2"],
                             {0: {"g1": 0, "g2": 0}, 1: {"g1": 1, "g2": 1}})
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError,
+                       match=r"^agent 0 has an empty or zero-value maximin cell;"):
         mf.normalize(inst, mf.instance_mms_all(inst))
 
 
@@ -325,7 +326,7 @@ def test_normalize_rejects_a_share_its_partition_does_not_reach():
                             {a: {"g1": 4, "g2": 3, "g3": 2, "g4": 1} for a in range(2)})
     shares = {a: dataclasses.replace(r, value=r.value / 2)
               for a, r in mf.instance_mms_all(inst).items()}
-    with pytest.raises(mf.ContractError,
+    with pytest.raises(mf.ValidationError,
                        match=r"^agent 0: maximin partition's smallest cell is 5, not the share 5/2$"):
         mf.normalize(inst, shares)
 
@@ -338,8 +339,20 @@ def test_rule_bundles_on_tight_example():
     assert mf.rule_bundle(inst, 2) == ("g3", "g4")
     assert mf.rule_bundle(inst, 3) == ("g5", "g6", "g7")
     assert mf.rule_bundle(inst, 4) == ("g1", "g7")
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^rule index must be in \(1, 2, 3, 4\), got 5$"):
         mf.rule_bundle(inst, 5)
+
+
+def test_a_rule_index_that_is_not_an_int_is_rejected():
+    # True, 1.0 and Fraction(1) all equal 1, and once gave rule 1's bundle.
+    inst = mf.gen_tight_example(3)
+    values = {a: Fraction(1) for a in inst.agents}
+    for k in (True, 1.0, Fraction(1), False):
+        message = rf"^rule index must be in \(1, 2, 3, 4\), got {k}$"
+        with pytest.raises(mf.ValidationError, match=message):
+            mf.rule_bundle(inst, k)
+        with pytest.raises(mf.ValidationError, match=message):
+            mf.rule_target(inst, ALPHA34, k, values)
 
 
 def test_rule_target_tight_example():
@@ -362,7 +375,7 @@ def test_rule_target_rejects_agents_out_of_order():
 def test_rule_target_rejects_a_share_table_missing_an_agent():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
-    with pytest.raises(mf.ContractError, match=r"^mms_values: .* agents \[\]"):
+    with pytest.raises(mf.ValidationError, match=r"^mms_values: .* agents \[\]"):
         mf.rule_target(inst, ALPHA34, 1, {})
 
 
@@ -464,9 +477,9 @@ def test_apply_reduction_applies_first_rule_that_fits():
 def test_apply_reduction_rejects_a_partial_share_table():
     inst = mf.make_instance(2, ["g1", "g2", "g3"],
                             {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
-    with pytest.raises(mf.ContractError, match=r"mms_values: .* agents \['0'\]"):
+    with pytest.raises(mf.ValidationError, match=r"mms_values: .* agents \['0'\]"):
         mf.apply_reduction(inst, ALPHA34, {0: 1})
-    with pytest.raises(mf.ContractError, match="mms_values"):
+    with pytest.raises(mf.ValidationError, match="mms_values"):
         mf.apply_reduction(inst, ALPHA34, {0: 1, 1: 1, 2: 1})
 
 
@@ -504,9 +517,9 @@ def test_alpha_limit_matches_the_paper_formula():
 @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(3), "3", None])
 def test_alpha_limit_rejects_an_agent_count_that_is_not_an_int(bad):
     message = re.escape(f"agent count must be an int, got {bad!r}")
-    with pytest.raises(mf.ContractError, match=message):
+    with pytest.raises(mf.ValidationError, match=message):
         mf.alpha_limit(bad)
-    with pytest.raises(mf.ContractError, match=message):
+    with pytest.raises(mf.ValidationError, match=message):
         mf.alpha_for(bad)
 
 
@@ -522,13 +535,14 @@ def test_reduce_tight_example_starts_with_rule2():
 
 def test_reduce_requires_ordered_input():
     inst = mf.make_instance(1, ["g1", "g2"], {0: {"g1": 1, "g2": 2}})
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError, match=r"^reduce requires an ordered instance$"):
         mf.reduce(inst, ALPHA34, mf.instance_mms_all(inst))
 
 
 def test_reduce_rejects_alpha_beyond_limit():
     inst = mf.gen_tight_example(3)
-    with pytest.raises(mf.ContractError):
+    with pytest.raises(mf.ValidationError,
+                       match=r"^alpha 7009/9000 is outside \(0, 7/9\] for n=3;"):
         mf.reduce(inst, mf.alpha_limit(3) + Fraction(1, 1000), mf.instance_mms_all(inst))
 
 
