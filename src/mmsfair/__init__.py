@@ -54,7 +54,6 @@ from .transforms import (
     normalize,
     reduce,
     rule_bundle,
-    rule_target,
     to_ordered,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "parse_value",
     "reduce",
     "rule_bundle",
-    "rule_target",
     "run_bag_fill",
     "to_ordered",
     "validate_allocation",

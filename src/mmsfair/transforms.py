@@ -90,8 +90,9 @@ def is_ordered(instance: Instance) -> bool:
     """True if every agent's values are non-increasing along the good order."""
     for a in instance.agents:
         row = instance.valuations[a]
-        weights, _ = scaled([row[g] for g in instance.goods])
-        if any(weights[i] < weights[i + 1] for i in range(len(weights) - 1)):
+        # p/q < r/s exactly when p*s < r*q, denominators being positive.
+        ratios = [row[g].as_integer_ratio() for g in instance.goods]
+        if any(p * s < r * q for (p, q), (r, s) in zip(ratios, ratios[1:])):
             return False
     return True
 
@@ -235,7 +236,7 @@ def rule_bundle(instance: Instance, k: int) -> tuple:
     one) raises ValidationError.
     """
     if type(k) is not int or k not in RULES:
-        raise ValidationError(f"rule index must be in {RULES}, got {k}")
+        raise ValidationError(f"rule index must be in {RULES}, got {k!r}")
     n, m, gs = instance.n, instance.m, instance.goods
     if k == 1:
         return tuple(gs[:1])
@@ -244,27 +245,6 @@ def rule_bundle(instance: Instance, k: int) -> tuple:
     if k == 3:
         return (gs[2 * n - 2], gs[2 * n - 1], gs[2 * n]) if m >= 2 * n + 1 else ()
     return (gs[0], gs[2 * n]) if m >= 2 * n + 1 else ()
-
-
-def rule_target(instance: Instance, alpha: Value, k: int,
-                mms_values: Mapping) -> Optional[int]:
-    """Lowest-id agent valuing rule k's bundle at >= alpha times their MMS.
-
-    ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ValidationError.  Its values
-    are compared as given: ``apply_reduction`` reads them through
-    ``parse_field`` first.  Agents out of the order ``check_agents``
-    requires, or a ``k`` that ``rule_bundle`` rejects, raise
-    ValidationError.  Returns None when no agent qualifies
-    (the instance is rule-k irreducible at this threshold).
-    """
-    check_agents(instance)
-    check_shares(instance, mms_values, "mms_values")
-    goods = rule_bundle(instance, k)
-    for a in instance.agents:
-        if bundle_value(instance, a, goods) >= alpha * mms_values[a]:
-            return a
-    return None
 
 
 @dataclass(frozen=True)
@@ -314,27 +294,38 @@ def apply_reduction(instance: Instance, alpha: Value,
                     mms_values: Mapping) -> Optional[tuple]:
     """Apply the first rule in ``RULES`` order that fits; None if none does.
 
-    The rule's bundle goes to the agent ``rule_target`` reports, so rule 4
-    only fires when rules 1 to 3 all fail.  Above threshold 3/4, rule 4
-    appends a fresh dummy good worth max(0, v_j(S4) - MMS_j) to each
-    survivor j.  Returns (new instance, ReductionRecord).  The new
-    instance is built by ``Instance.without``, which drops certificates.
-    ``mms_values`` must be keyed by exactly the instance's agents
-    (``check_shares``); any other table raises ValidationError.  ``alpha``
-    and each share are read by ``parse_field``, so a negative, float or
-    bool one raises ValidationError naming ``alpha`` or ``mms_values[a]``.
+    Rule k fits when some agent values its bundle (``rule_bundle``) at
+    least ``alpha`` times their share in ``mms_values``; the bundle goes to
+    the lowest-id such agent, so rule 4 only fires when rules 1 to 3 all
+    fail.  Above threshold 3/4, rule 4 appends a fresh dummy good worth
+    max(0, v_j(S4) - MMS_j) to each survivor j.  Returns (new instance,
+    ReductionRecord).  The new instance is built by ``Instance.without``,
+    which drops certificates.
+
+    The rules read list position as rank, so agents out of the order
+    ``check_agents`` requires and an instance that is not ordered
+    (``is_ordered``) raise ValidationError.  ``mms_values`` must be keyed
+    by exactly the instance's agents (``check_shares``); any other table
+    raises ValidationError.  ``alpha`` and each share are read by
+    ``parse_field``, so a negative, float or bool one raises
+    ValidationError naming ``alpha`` or ``mms_values[a]``.
     """
+    check_agents(instance)
+    if not is_ordered(instance):
+        raise ValidationError("apply_reduction requires an ordered instance")
     alpha = parse_field(alpha, "alpha")
     check_shares(instance, mms_values, "mms_values")
     mms_values = {a: parse_field(mms_values[a], f"mms_values[{a}]")
                   for a in instance.agents}
     for k in RULES:
-        agent = rule_target(instance, alpha, k, mms_values)
+        goods = rule_bundle(instance, k)
+        agent = next((a for a in instance.agents
+                      if bundle_value(instance, a, goods) >= alpha * mms_values[a]), None)
         if agent is not None:
             break
     else:
         return None
-    removed = frozenset(rule_bundle(instance, k))
+    removed = frozenset(goods)
     dummy_created = None
     if k == 4 and alpha > CLASSIC_ALPHA:
         dummy_created = (fresh_id("d", instance.all_goods), {

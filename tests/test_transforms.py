@@ -344,50 +344,74 @@ def test_rule_bundles_on_tight_example():
 
 
 def test_a_rule_index_that_is_not_an_int_is_rejected():
-    # True, 1.0 and Fraction(1) all equal 1, and once gave rule 1's bundle.
+    # True, 1.0 and Fraction(1) all equal 1, and once gave rule 1's bundle;
+    # the message shows the index as given, so none reads as a valid 1.
     inst = mf.gen_tight_example(3)
-    values = {a: Fraction(1) for a in inst.agents}
-    for k in (True, 1.0, Fraction(1), False):
-        message = rf"^rule index must be in \(1, 2, 3, 4\), got {k}$"
+    for k in (True, 1.0, Fraction(1), False, "1"):
+        message = r"^rule index must be in \(1, 2, 3, 4\), got " + re.escape(repr(k)) + "$"
         with pytest.raises(mf.ValidationError, match=message):
             mf.rule_bundle(inst, k)
-        with pytest.raises(mf.ValidationError, match=message):
-            mf.rule_target(inst, ALPHA34, k, values)
 
 
-def test_rule_target_tight_example():
+def _takers(inst, alpha, values, k):
+    """The agents valuing rule k's bundle at >= alpha times their share,
+    computed apart from apply_reduction."""
+    goods = mf.rule_bundle(inst, k)
+    return [a for a in inst.agents if mf.bundle_value(inst, a, goods) >= alpha * values[a]]
+
+
+def test_apply_reduction_tight_example():
     inst = mf.gen_tight_example(3)
     values = mf.instance_mms_values(inst)
-    assert mf.rule_target(inst, ALPHA34, 2, values) == 0
-    assert mf.rule_target(inst, ALPHA34, 1, values) is None
+    assert _takers(inst, ALPHA34, values, 1) == []
+    assert _takers(inst, ALPHA34, values, 2)[0] == 0
+    _, record = mf.apply_reduction(inst, ALPHA34, values)
+    assert (record.rule, record.agent) == ("R2", 0)
+    assert record.removed_goods == frozenset(mf.rule_bundle(inst, 2))
 
 
-def test_rule_target_rejects_agents_out_of_order():
+def test_apply_reduction_rejects_agents_out_of_order():
     # The target is the lowest id that qualifies, so agents listed out of
     # order are rejected.
     shares = {0: Fraction(1), 1: Fraction(1)}
-    assert mf.rule_target(equal_rows_instance((0, 1), 3), ALPHA34, 1, shares) == 0
+    _, record = mf.apply_reduction(equal_rows_instance((0, 1), 3), ALPHA34, shares)
+    assert record.agent == 0
     with pytest.raises(mf.ValidationError,
                        match=r"^agents: ids must be ascending ints, got \[1, 0\]$"):
-        mf.rule_target(equal_rows_instance((1, 0), 3), ALPHA34, 1, shares)
+        mf.apply_reduction(equal_rows_instance((1, 0), 3), ALPHA34, shares)
 
 
-def test_rule_target_rejects_a_share_table_missing_an_agent():
-    inst = mf.make_instance(2, ["g1", "g2", "g3"],
-                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
-    with pytest.raises(mf.ValidationError, match=r"^mms_values: .* agents \[\]"):
-        mf.rule_target(inst, ALPHA34, 1, {})
+def test_apply_reduction_rejects_an_instance_that_is_not_ordered():
+    # Read by list position, R2 would take {g2, g3}; ranked, g2 is the top
+    # good and R1 gives it away.
+    rows = {a: {"g1": 1, "g2": 5, "g3": 1} for a in range(2)}
+    inst = mf.make_instance(2, ["g1", "g2", "g3"], rows)
+    values = mf.instance_mms_values(inst)
+    with pytest.raises(mf.ValidationError,
+                       match=r"^apply_reduction requires an ordered instance$"):
+        mf.apply_reduction(inst, ALPHA34, values)
+    mapping = mf.to_ordered(inst)
+    _, record = mf.apply_reduction(mapping.ordered, ALPHA34, values)
+    assert (record.rule, record.agent) == ("R1", 0)
+    assert [mapping.by_agent[0][mapping.ordered.goods.index(r)]
+            for r in record.removed_goods] == ["g2"]
 
 
-def test_rule_target_empty_bundle_is_none():
-    # 3 agents, 3 goods: rules 2..4 have no bundle, rule 1 fails below alpha*MMS
+def test_apply_reduction_empty_bundle_is_none():
+    # 3 agents, 3 goods: rules 2..4 have no bundle.  At the true shares of 1
+    # rule 1 fits, as it must with m <= n; shares of 2 put g1 below
+    # alpha*share, and then the empty bundles fit nobody either.
     inst = mf.make_instance(3, ["g1", "g2", "g3"],
                             {a: {"g1": 1, "g2": 1, "g3": 1} for a in range(3)})
     values = mf.instance_mms_values(inst)
     assert values[0] == 1
     for k in (2, 3, 4):
         assert mf.rule_bundle(inst, k) == ()
-        assert mf.rule_target(inst, ALPHA34, k, values) is None
+    _, record = mf.apply_reduction(inst, ALPHA34, values)
+    assert (record.rule, record.agent) == ("R1", 0)
+    inflated = dict.fromkeys(inst.agents, Fraction(2))
+    assert _takers(inst, ALPHA34, inflated, 1) == []
+    assert mf.apply_reduction(inst, ALPHA34, inflated) is None
 
 
 def test_apply_reduction_rule1_example():
@@ -396,7 +420,7 @@ def test_apply_reduction_rule1_example():
                              for a in range(2)})
     values = mf.instance_mms_values(inst)
     assert values == {0: 3, 1: 3}
-    assert mf.rule_target(inst, ALPHA34, 1, values) == 0
+    assert _takers(inst, ALPHA34, values, 1) == [0, 1]
     reduced, record = mf.apply_reduction(inst, ALPHA34, values)
     assert record.rule == "R1"
     assert record.removed_goods == frozenset({"g1"})
@@ -414,8 +438,8 @@ def test_apply_reduction_rule4_at_three_quarters_makes_no_dummy():
     values = mf.instance_mms_values(inst)
     assert values == {0: 129, 1: 192}
     for k in (1, 2, 3):
-        assert mf.rule_target(inst, ALPHA34, k, values) is None
-    assert mf.rule_target(inst, ALPHA34, 4, values) == 0
+        assert _takers(inst, ALPHA34, values, k) == []
+    assert _takers(inst, ALPHA34, values, 4)[0] == 0
     reduced, record = mf.apply_reduction(inst, ALPHA34, values)
     assert record.rule == "R4"
     assert record.agent == 0
@@ -429,10 +453,10 @@ def test_apply_reduction_rule4_above_three_quarters_creates_dummy():
     alpha = Fraction(7, 9)
     values = mf.instance_mms_values(inst)
     for k in (1, 2, 3):
-        assert mf.rule_target(inst, alpha, k, values) is None
-    assert mf.rule_target(inst, alpha, 4, values) == 0
+        assert _takers(inst, alpha, values, k) == []
+    assert _takers(inst, alpha, values, 4)[0] == 0
     reduced, record = mf.apply_reduction(inst, alpha, values)
-    assert record.rule == "R4"
+    assert (record.rule, record.agent) == ("R4", 0)
     dummy_id, dummy_values = record.dummy_created
     assert reduced.dummies == (dummy_id,)
     for a in reduced.agents:
@@ -465,11 +489,11 @@ def test_apply_reduction_applies_first_rule_that_fits():
     inst = mf.gen_tight_example(3)
     alpha = ALPHA34 + Fraction(1, 36)
     values = mf.instance_mms_values(inst)
-    assert mf.rule_target(inst, alpha, 1, values) is None
+    assert _takers(inst, alpha, values, 1) == []
     for k in (2, 3, 4):
-        assert mf.rule_target(inst, alpha, k, values) == 0
+        assert _takers(inst, alpha, values, k)[0] == 0
     _, record = mf.apply_reduction(inst, alpha, values)
-    assert record.rule == "R2"
+    assert (record.rule, record.agent) == ("R2", 0)
     assert record.removed_goods == frozenset(mf.rule_bundle(inst, 2))
     assert record.dummy_created is None
 
@@ -481,6 +505,8 @@ def test_apply_reduction_rejects_a_partial_share_table():
         mf.apply_reduction(inst, ALPHA34, {0: 1})
     with pytest.raises(mf.ValidationError, match="mms_values"):
         mf.apply_reduction(inst, ALPHA34, {0: 1, 1: 1, 2: 1})
+    with pytest.raises(mf.ValidationError, match=r"^mms_values: .* agents \[\]"):
+        mf.apply_reduction(inst, ALPHA34, {})
 
 
 @pytest.mark.parametrize("share", [1.5, True, -1, "x"])
