@@ -505,6 +505,11 @@ def test_apply_reduction_rejects_a_partial_share_table():
         mf.apply_reduction(inst, ALPHA34, {0: 1})
     with pytest.raises(mf.ValidationError, match="mms_values"):
         mf.apply_reduction(inst, ALPHA34, {0: 1, 1: 1, 2: 1})
+
+
+def test_apply_reduction_rejects_a_share_table_missing_an_agent():
+    inst = mf.make_instance(2, ["g1", "g2", "g3"],
+                            {a: {"g1": 3, "g2": 1, "g3": 1} for a in range(2)})
     with pytest.raises(mf.ValidationError, match=r"^mms_values: .* agents \[\]"):
         mf.apply_reduction(inst, ALPHA34, {})
 
